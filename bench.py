@@ -3,7 +3,7 @@
 Headline = wall seconds of the flagship suite:
   - inverted-index build over a deterministic synthetic code corpus
     (FIXTURES.md F5; fresh index dir every run),
-  - the F2-style query set through the WAND searcher,
+  - the F2-style query set through the doc-sharded searcher,
   - representative data ops over $GRAFT_SF_DIR tables (TPC-H-ish agg,
     term stats, exact dedup, brute-force ANN).
 
@@ -93,12 +93,9 @@ def run_suite() -> dict:
 
     idx_dir = f"/tmp/sosr_bench_index_{NUM_CPUS}_{os.getpid()}"
     shutil.rmtree(idx_dir, ignore_errors=True)
-    # partition_by="term" pinned for round-over-round continuity of the
-    # index_build / index_docs_per_sec series (r01-r03 measured the term
-    # build); the library default is "doc" and the index_build_doc
-    # section below times that scale-default layout
-    cfg = IndexConfig(num_partitions=64, sample_mod=8, partition_by="term",
-                      hot_df_threshold=5000, salt_unit=5000, max_salts=8)
+    # 64 doc partitions: the shape the index_build_doc series
+    # (r03-r05) measured
+    cfg = IndexConfig(num_partitions=64)
     # best-of-N builds (fresh dirs): single-node host noise is +-30%,
     # and the scaling criterion compares steady-state throughput
     repeats = int(os.environ.get("GRAFT_BENCH_REPEAT", "1"))
@@ -154,33 +151,6 @@ def run_suite() -> dict:
     p50 = lat_sorted[len(lat) // 2]
     p99 = lat_sorted[min(len(lat) - 1, int(len(lat) * 0.99))]
 
-    # the scale-default execution shape: doc-partitioned index,
-    # per-shard scoring with global idf (postings never centralize);
-    # search() auto-routes, so this times the path a 100-TB deployment
-    # actually runs
-    import dataclasses
-    idx_doc = idx_dir + "_doc"
-    shutil.rmtree(idx_doc, ignore_errors=True)
-    t0 = time.monotonic()
-    build_index(CORPUS_DIR, idx_doc,
-                dataclasses.replace(cfg, partition_by="doc"),
-                resume=False)
-    timings["index_build_doc"] = time.monotonic() - t0
-    s_doc = Searcher(idx_doc, use_actors=True)
-    for q in QUERY_SET:
-        s_doc.search(q, k=10)
-    t0 = time.monotonic()
-    lat_doc = []
-    for q in QUERY_SET:
-        tq = time.monotonic()
-        s_doc.search(q, field="content", k=10)
-        lat_doc.append(time.monotonic() - tq)
-    s_doc.close()
-    timings["query_set_doc_sharded"] = time.monotonic() - t0
-    lat_doc.sort()
-    p50_doc = lat_doc[len(lat_doc) // 2]
-    shutil.rmtree(idx_doc, ignore_errors=True)
-
     for name in ["q1_pricing_summary", "tf_top_terms", "dedup_exact_docs",
                  "knn_cosine", "events_hourly", "user_stats"]:
         t0 = time.monotonic()
@@ -206,7 +176,6 @@ def run_suite() -> dict:
         "index_bytes": manifest["metrics"]["bytes"],
         "query_p50_sec": round(p50, 4),
         "query_p99_sec": round(p99, 4),
-        "query_p50_doc_sharded_sec": round(p50_doc, 4),
         "index_content_hash": content_hash,
     }
 

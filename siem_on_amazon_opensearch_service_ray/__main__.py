@@ -5,7 +5,7 @@ file-granularity retry; here Ray Data supplies the parallelism and the
 per-partition manifests supply the resume).
 
 Usage:
-  python -m siem_on_amazon_opensearch_service_ray build  <corpus_dir> <index_dir> [--partitions P] [--no-salting] [--no-resume]
+  python -m siem_on_amazon_opensearch_service_ray build  <corpus_dir> <index_dir> [--partitions P] [--no-resume]
   python -m siem_on_amazon_opensearch_service_ray search <index_dir> <query> [--k K] [--mode or|and] [--field F] [--fetch]
       [--type term|bool|phrase|phrase-prefix|prefix|wildcard|fuzzy|span|span-expr]
       (span-expr: <query> is a JSON span expression — span_term/span_near/
@@ -44,7 +44,6 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--partitions", type=int, default=16)
     b.add_argument("--positions", action="store_true",
                    help="store term positions (phrase/span queries)")
-    b.add_argument("--no-salting", action="store_true")
     b.add_argument("--store-source", action="store_true",
                    help="keep the source text in the docstore "
                         "(enables reindex / update-by-query)")
@@ -571,8 +570,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.store_source:
                 overrides["store_source"] = True
             cfg = IndexConfig(num_partitions=args.partitions,
-                              store_positions=args.positions,
-                              salting=not args.no_salting, **overrides)
+                              store_positions=args.positions, **overrides)
             man = build_index(args.corpus_dir, args.index_dir, cfg,
                               resume=not args.no_resume)
             print(json.dumps({"n_docs": man["stats"]["n_docs"],
@@ -1042,8 +1040,7 @@ def main(argv: list[str] | None = None) -> int:
                             searcher.span_query(json.loads(args.query),
                                                 args.field, args.k)]
                 elif qt == "simple-qs":
-                    sharded = (searcher.use_actors and
-                               searcher._partition_by == "doc")
+                    sharded = searcher.use_actors
                     fn = (searcher.simple_query_string_sharded if sharded
                           else searcher.simple_query_string)
                     hits = fn(args.query, field=args.field, k=args.k,
@@ -1052,8 +1049,7 @@ def main(argv: list[str] | None = None) -> int:
                     if not args.feature_field:
                         raise SystemExit("--type rank-feature needs "
                                          "--feature-field")
-                    sharded = (searcher.use_actors and
-                               searcher._partition_by == "doc")
+                    sharded = searcher.use_actors
                     fn = (searcher.rank_feature_search_sharded if sharded
                           else searcher.rank_feature_search)
                     hits = fn(args.query, args.feature_field,
@@ -1074,8 +1070,7 @@ def main(argv: list[str] | None = None) -> int:
                     if not args.script_expr:
                         raise SystemExit("--type script-score needs "
                                          "--script-expr")
-                    sharded = (searcher.use_actors and
-                               searcher._partition_by == "doc")
+                    sharded = searcher.use_actors
                     fn = (searcher.script_score_search_sharded if sharded
                           else searcher.script_score_search)
                     hits = fn(args.query, args.script_expr,
@@ -1085,8 +1080,7 @@ def main(argv: list[str] | None = None) -> int:
                     if not args.feature_field:
                         raise SystemExit("--type distance-feature needs "
                                          "--feature-field")
-                    sharded = (searcher.use_actors and
-                               searcher._partition_by == "doc")
+                    sharded = searcher.use_actors
                     fn = (searcher.distance_feature_search_sharded
                           if sharded
                           else searcher.distance_feature_search)
@@ -1096,8 +1090,7 @@ def main(argv: list[str] | None = None) -> int:
                               k=args.k)
                 elif qt == "terms-set":
                     terms = args.should or (args.query or "").split()
-                    sharded = (searcher.use_actors and
-                               searcher._partition_by == "doc")
+                    sharded = searcher.use_actors
                     fn = (searcher.terms_set_search_sharded if sharded
                           else searcher.terms_set_search)
                     hits = fn(terms, field=args.field,
@@ -1105,10 +1098,9 @@ def main(argv: list[str] | None = None) -> int:
                               minimum_should_match=args.msm, k=args.k)
                 elif qt in ("constant-score", "boosting",
                             "function-score", "collapse"):
-                    # doc layout + actors -> the per-shard execution
-                    # path; anything else -> the driver path
-                    sharded = (searcher.use_actors and
-                               searcher._partition_by == "doc")
+                    # actors -> the per-shard execution path; an
+                    # in-process searcher -> the unsharded path
+                    sharded = searcher.use_actors
                     if qt == "constant-score":
                         fn = (searcher.constant_score_sharded if sharded
                               else searcher.constant_score)

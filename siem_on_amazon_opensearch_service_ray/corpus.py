@@ -6,7 +6,7 @@ content:large_string``.
 
 Generation is chunked and seeded per chunk index, so any parallelism
 level produces identical rows; content plants:
-- one very hot term (``def``) in most docs (skew / salting tests),
+- one very hot term (``def``) in most docs (skew tests),
 - rare marker terms ``needle_<i>`` in a handful of docs (top-k tests),
 - camelCase / snake_case identifiers (sub-token analyzer tests),
 - a few multi-megabyte rows (wide-record tests),

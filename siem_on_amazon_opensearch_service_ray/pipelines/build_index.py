@@ -13,14 +13,14 @@ Ray-Data-native build (BASELINE.json north_rule):
           parity: AOSS docid_set, index.py:332-336) -> one parquet per
           doc range, atomic + manifested
     ▼
-  PASS B  postings: tokenize (actor pool, code-aware analyzer)
-          -> combine per block into (part, salt, field, term) runs
-             with packed doc/tf/norm blobs (mapper-side combiner: the
+  PASS B  postings: tokenize (task pool, code-aware analyzer)
+          -> combine per block into (part, field, term) runs with
+             packed doc/tf/norm blobs (mapper-side combiner: the
              exchange moves ~vocab x blocks rows, never row-per-posting)
-          -> SHUFFLE groupby(part, salt)  [the groupby-term exchange]
+          -> SHUFFLE groupby(part)  [doc_id % P: one group per doc shard]
           -> encode segments: canonical (field, term, doc_id) sort,
              delta-varint 128-blocks + skip/block-max metadata
-          -> parts/part-PPPP/seg-SS.parquet, atomic + manifested
+          -> parts/part-PPPP/seg-00.parquet, atomic + manifested
     ▼
   PASS C  keyword filter postings (lang/repo) from the docstore
     ▼
@@ -29,15 +29,15 @@ Ray-Data-native build (BASELINE.json north_rule):
 
 Scale notes (100 TB / multi-node):
 - only PASS B moves token-granular data; the shuffle payload is
-  (int, int, str, str, int64, int32, uint8) rows — content never enters
+  (int, str, str, int64, int32, uint8) rows — content never enters
   a shuffle (PASS A drops it before its groupby).
 - ``num_partitions`` is fixed in config, independent of cluster size,
   so N-node and 4N-node builds produce byte-identical shards (SURVEY.md
   §4 "deterministic shards under varying parallelism").
-- hot terms (``def`` in code) are salted: a sampling pre-pass estimates
-  df, and terms above ``hot_df_threshold`` are split into
-  ``doc_id % n_salts`` sub-segments that encode in parallel and are
-  merged (sorted, score-identical) at read time — SURVEY.md §7.4/§7.5.3.
+- postings are partitioned by ``doc_id % P``: every part is a complete
+  mini-index over its doc range (OpenSearch doc-shard parity, SURVEY.md
+  §7.1; reference deploy: 3 doc shards, command_index.txt:8), so a hot
+  term (``def`` in code) splits across every part by construction.
 - every segment write is atomic (tmp + rename) and guarded by a
   manifest keyed on the input fingerprint: a resumed build skips
   already-finalized segments (reference parity: the batch CLI's
@@ -50,8 +50,6 @@ import json
 import os
 import re
 import time
-import zlib
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -85,13 +83,6 @@ class IndexConfig:
     # block is too wide for the 3x tokenize expansion.
     tokenize_batch_size: int | None = None
     tokenize_concurrency: int | None = None
-    # "tasks": stateless task pool with worker-global analyzer state —
-    # Ray reuses worker processes, so caches amortize like an actor's,
-    # but no CPUs are reserved and the scheduler interleaves tokenize
-    # with shuffle work (measured: a fixed actor pool either starves
-    # the shuffle or idles half the cluster).  "actors": classic
-    # actor-pool stage (tokenize_concurrency workers).
-    tokenize_mode: str = "tasks"
     # store term positions (enables phrase queries; ~2x postings bytes)
     store_positions: bool = False
     # keep the raw source column in the docstore (OpenSearch _source
@@ -112,55 +103,39 @@ class IndexConfig:
     # exchange) — the exact-kNN surface (Searcher.knn_search scores
     # per doc shard against its own slice).
     vector_fields: tuple = ()
-    # "doc" (DEFAULT — the scale layout): postings partitioned by
-    #   doc_id % P — every part is a complete mini-index over its doc
-    #   range (OpenSearch doc-shard parity, SURVEY.md §7.1; reference
-    #   deploy: 3 doc shards, command_index.txt:8); the full query DSL
-    #   scores per-shard with global df (dfs_query_then_fetch) and a
-    #   high-df term never ships its full postings to one process.
-    #   Salting is moot (hot terms split naturally across doc shards).
-    # "term": postings partitioned by crc32(field:term) % P — each query
-    #   term lives in exactly one part.  Scoring gathers the query
-    #   terms' postings to the driver, so prefer it only when queries
-    #   are rare-term-dominated and the index is small enough that a
-    #   worst-case term's postings fit one process — e.g. single-node
-    #   lookup indexes; requires salting for hot-term build skew.
-    partition_by: str = "doc"
     # numeric docstore columns to index for range queries: per doc-range
     # part, a value-sorted (value, doc_id) table — a query binary-searches
     # the bounds per part (OpenSearch range-query parity)
     range_fields: tuple = ()
-    # hot-term salting
-    salting: bool = True
-    sample_mod: int = 64             # deterministic sample: doc_id % mod == 0
-    hot_df_threshold: int = 20_000   # estimated df above which a term is salted
-    salt_unit: int = 20_000          # one extra salt per this many estimated postings
-    max_salts: int = 8
-
-    # "sort": Ray Data groupby(part, salt) sort exchange (the original
-    #   path).  "direct": manual hash exchange — tokenize tasks return
-    #   one pre-partitioned table per slot (num_returns=2P) and one
-    #   encode task per slot concatenates its shards.  Byte-identical
-    #   output (both encode paths canonicalize row order internally;
-    #   asserted in tests); direct removes the SortMap/SortReduce CPU
-    #   and the sort's boundary-sampling serial phase (measured ~10 s
-    #   non-scaling cost in the 800k-doc build).
-    shuffle_mode: str = "sort"
 
     def fingerprint_dict(self) -> dict:
         """Representation-affecting fields only: execution-mode knobs
-        (task vs actor tokenize, sort vs direct shuffle, batch sizing)
-        produce byte-identical indexes and must not invalidate resume
-        or extend-config equality."""
+        (batch sizing, pool size) produce byte-identical indexes and
+        must not invalidate resume or extend-config equality."""
         d = asdict(self)
-        for k in ("tokenize_batch_size", "tokenize_concurrency",
-                  "tokenize_mode", "shuffle_mode"):
+        for k in ("tokenize_batch_size", "tokenize_concurrency"):
             d.pop(k, None)
         return d
 
 
-def _term_part(field: str, term: str, p: int) -> int:
-    return zlib.crc32(f"{field}\x1f{term}".encode()) % p
+# manifest config keys of the retired term layout and build-exchange
+# modes: an older doc-layout manifest still carries them
+_RETIRED_CONFIG_KEYS = ("partition_by", "salting", "sample_mod",
+                        "hot_df_threshold", "salt_unit", "max_salts",
+                        "shuffle_mode", "tokenize_mode")
+
+
+def config_from_dict(config: dict) -> IndexConfig:
+    """The IndexConfig a manifest's ``config`` dict describes (lists
+    re-tupled — JSON round-trip loses tuple-ness).  Raises ValueError
+    for a term-layout index."""
+    from ..state.shard import check_layout
+    check_layout(config)
+    return IndexConfig(**{k: (tuple(tuple(x) if isinstance(x, list)
+                                    else x for x in v)
+                              if isinstance(v, list) else v)
+                          for k, v in config.items()
+                          if k not in _RETIRED_CONFIG_KEYS})
 
 
 def tokenize_concurrency(cfg: "IndexConfig") -> int:
@@ -272,99 +247,6 @@ def _read_paths(paths: list[str]) -> rd.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# hot-term estimation (sampling pre-pass)
-
-
-def _sample_df_batch(batch: pa.Table, cfg: IndexConfig) -> pa.Table:
-    """Per-batch partial df over a deterministic doc_id-hash sample.
-    Emits (field, term, df_partial) only for terms seen >= 2 times in
-    the batch sample — rare terms can never reach the hot threshold, so
-    the partial-aggregate stream stays small (SURVEY.md §4 skew row).
-    Stateless task (not an actor pool): there is no per-worker state to
-    amortize, and task pools start instantly."""
-    if cfg.sample_mod > 1:
-        ids = compute_doc_ids(batch, cfg.id_cols, cfg.doc_id_col)
-        keep = np.nonzero(ids % cfg.sample_mod == 0)[0]
-    else:
-        keep = np.arange(batch.num_rows)
-    counts: Counter = Counter()
-    for fname, col, analyzer in cfg.fields:
-        an = ANALYZERS[analyzer]
-        texts = batch.column(col).take(pa.array(keep)).to_pylist()
-        for text in texts:
-            for t in set(an(text)):
-                counts[(fname, t)] += 1
-    items = [(f, t, c) for (f, t), c in counts.items() if c >= 2]
-    return pa.table({
-        "field": pa.array([x[0] for x in items], pa.string()),
-        "term": pa.array([x[1] for x in items], pa.string()),
-        "df_partial": pa.array([x[2] for x in items], pa.int64()),
-    })
-
-
-def _sample_source(source, cfg: IndexConfig) -> tuple[rd.Dataset, int]:
-    """File-level sampling for the hot-term pre-pass: read every
-    ``sample_mod``-th input file instead of row-filtering all of them —
-    at 100 TB a row-level sample still reads every byte; a file-level
-    sample prunes at the read.  Falls back to row-level (mod applied on
-    doc_id inside _SampleDf) for few-file sources.
-
-    Returns (dataset, row_mod): row_mod == 1 means every row of the
-    sampled files is tokenized and the file fraction supplies the
-    scale-up; otherwise rows are doc_id-sampled too."""
-    if isinstance(source, rd.Dataset):
-        return source, cfg.sample_mod
-    if isinstance(source, str):
-        paths = sorted(
-            os.path.join(root, fn)
-            for root, _, files in os.walk(source) for fn in files
-            if fn.endswith(".parquet"))
-    else:
-        paths = sorted(source)
-    # block-split the sampled read too: without it the pre-pass runs
-    # len(paths)/sample_mod tasks regardless of CPUs — measured as a
-    # flat ~3.5 s serial phase at every parallelism level (the single
-    # biggest non-scaling cost in the 800k-doc build)
-    if len(paths) >= 4 * cfg.sample_mod:
-        return _read_paths(paths[::cfg.sample_mod]), 1
-    return _read_paths(paths), cfg.sample_mod
-
-
-def estimate_hot_terms(source, cfg: IndexConfig) -> dict[str, int]:
-    """-> {"field\\x1fterm": n_salts} for estimated-hot terms."""
-    import functools
-    ds, row_mod = _sample_source(source, cfg)
-    sample_cfg = cfg if row_mod == cfg.sample_mod else \
-        IndexConfig(**dict(cfg.fingerprint_dict(), sample_mod=row_mod))
-    partials = ds.map_batches(
-        functools.partial(_sample_df_batch, cfg=sample_cfg),
-        batch_format="pyarrow", batch_size=cfg.tokenize_batch_size)
-    # the pre-filtered partial stream is tiny (candidate hot terms
-    # only), so the final reduce happens on the driver — no shuffle.
-    # Vectorized (arrow group_by, then one numpy threshold pass): the
-    # old per-tuple Counter loop was a ~5 s NON-scaling driver cost
-    # that flattened the build's N-vs-4N efficiency.
-    batches = [b for b in partials.iter_batches(batch_format="pyarrow")
-               if b.num_rows]
-    if not batches:
-        return {}
-    t = pa.concat_tables(batches).group_by(["field", "term"]) \
-        .aggregate([("df_partial", "sum")])
-    est = t.column("df_partial_sum").to_numpy(zero_copy_only=False) \
-        * cfg.sample_mod
-    keep = np.nonzero(est >= cfg.hot_df_threshold)[0]
-    if keep.size == 0:
-        return {}
-    n_salts = np.minimum(cfg.max_salts,
-                         np.maximum(2, -(-est[keep].astype(np.int64)
-                                         // cfg.salt_unit)))
-    fields = t.column("field").take(pa.array(keep)).to_pylist()
-    terms = t.column("term").take(pa.array(keep)).to_pylist()
-    return {f"{f}\x1f{tm}": int(s)
-            for f, tm, s in zip(fields, terms, n_salts)}
-
-
-# ---------------------------------------------------------------------------
 # PASS B — postings + docstore (single corpus read)
 
 
@@ -375,7 +257,8 @@ LUT_SENTINEL = "\x00lut"
 
 
 class TokenizeFlatten:
-    """Actor-pool stage: analyzers compiled once per actor; per batch,
+    """Tokenize stage (run per worker by :func:`_tokenize_task`):
+    analyzers compiled once per worker process; per batch,
     tokenize every configured field and flatten to posting rows.
     Mirrors the reference LogParser per-record pipeline position
     (reference: siem/__init__.py:519-574) but columnar + code-aware.
@@ -387,20 +270,15 @@ class TokenizeFlatten:
     the second full read a separate docstore pass would cost is the
     single biggest avoidable I/O."""
 
-    def __init__(self, cfg: IndexConfig, hot: dict[str, int],
-                 docstore_cols: list[str]):
+    def __init__(self, cfg: IndexConfig, docstore_cols: list[str]):
         self.cfg = cfg
-        self.hot = hot
         self.docstore_cols = docstore_cols
         self.analyzers = {f: ANALYZERS[a] for f, _, a in cfg.fields}
-        # per-field term interning: term -> tid, plus tid-indexed route
-        # tables (partition, n_salts) grown as vocabulary appears.  The
-        # emit loop then touches Python once per *token* (a dict get)
-        # and everything per-posting is numpy.
+        # per-field term interning: term -> tid, grown as vocabulary
+        # appears.  The emit loop then touches Python once per *token*
+        # (a dict get) and everything per-posting is numpy.
         self._vocab: dict[str, dict[str, int]] = {f: {} for f, _, _ in cfg.fields}
         self._terms: dict[str, list[str]] = {f: [] for f, _, _ in cfg.fields}
-        self._parts: dict[str, list[int]] = {f: [] for f, _, _ in cfg.fields}
-        self._nsalts: dict[str, list[int]] = {f: [] for f, _, _ in cfg.fields}
         if cfg.store_positions:
             self.pos_analyzers = {f: POSITIONAL_ANALYZERS[a]
                                   for f, _, a in cfg.fields}
@@ -410,10 +288,6 @@ class TokenizeFlatten:
         an = self.analyzers[fname]
         vocab = self._vocab[fname]
         terms_l = self._terms[fname]
-        parts_l = self._parts[fname]
-        nsalts_l = self._nsalts[fname]
-        p = self.cfg.num_partitions
-        hot = self.hot
         get = vocab.get
         with_pos = self.cfg.store_positions
         pos_an = self.pos_analyzers[fname] if with_pos else None
@@ -434,8 +308,6 @@ class TokenizeFlatten:
                             tid = len(terms_l)
                             vocab[t] = tid
                             terms_l.append(t)
-                            parts_l.append(_term_part(fname, t, p))
-                            nsalts_l.append(hot.get(f"{fname}\x1f{t}", 1))
                         tl[j] = tid
             return tl
 
@@ -454,7 +326,7 @@ class TokenizeFlatten:
                 rows_live.append(i)
             if not per_doc:
                 z = np.zeros(0, dtype=np.int64)
-                return z, z, z, z, z, z, [], dls
+                return z, z, z, z, [], dls
             lens = np.asarray([a.size for a in per_doc], dtype=np.int64)
             rows_cat = np.repeat(np.asarray(rows_live, dtype=np.int64),
                                  lens)
@@ -490,7 +362,7 @@ class TokenizeFlatten:
                 rows_live.append(i)
             if not per_doc:
                 z = np.zeros(0, dtype=np.int64)
-                return z, z, z, z, z, z, None, dls
+                return z, z, z, z, None, dls
             lens_d = np.asarray([a.size for a in per_doc], dtype=np.int64)
             rows_cat = np.repeat(np.asarray(rows_live, dtype=np.int64),
                                  lens_d)
@@ -523,20 +395,11 @@ class TokenizeFlatten:
             bstart = np.concatenate(([0], np.cumsum(blen[:-1]))) \
                 if blen.size else np.zeros(0, dtype=np.int64)
             pos_pack = (stream, bstart, blen)
-        if self.cfg.partition_by == "doc":
-            parts = dids % p
-            salts = np.zeros(dids.size, dtype=np.int64)
-        else:
-            part_lut = np.asarray(parts_l, dtype=np.int64)
-            nsalt_lut = np.asarray(nsalts_l, dtype=np.int64)
-            parts = part_lut[tids]
-            ns = nsalt_lut[tids]
-            salts = np.where(ns > 1, dids % np.maximum(ns, 1), 0)
-        return tids, cnts, dids, nrm, parts, salts, pos_pack, dls
+        return tids, cnts, dids, nrm, pos_pack, dls
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Emit COMBINED posting runs, not row-per-posting: one output
-        row per (part, salt, field, term) seen in this block, carrying
+        row per (part, field, term) seen in this block, carrying
         the run's doc ids / tfs / norms as packed little-endian blobs
         (the classic mapper-side combiner).  The exchange then moves
         ~vocab x blocks rows instead of one row per posting — measured
@@ -550,7 +413,6 @@ class TokenizeFlatten:
         ids = compute_doc_ids(batch, cfg.id_cols, cfg.doc_id_col)
         with_pos = cfg.store_positions
         r_part: list[int] = []
-        r_salt: list[int] = []
         r_field: list[str] = []
         r_term: list[str] = []
         r_docs: list[bytes] = []
@@ -562,19 +424,19 @@ class TokenizeFlatten:
         dl_by_field: dict[str, np.ndarray] = {}
         for fname, col, _ in cfg.fields:
             texts = batch.column(col).to_pylist()
-            tids, cnts, dids, nrm, parts, salts, pos_pack, dls = \
+            tids, cnts, dids, nrm, pos_pack, dls = \
                 self._field_postings(fname, texts, ids)
             dl_by_field[fname] = dls
             if tids.size == 0:
                 continue
-            order = np.lexsort((tids, salts, parts))
-            t_s, s_s, p_s = tids[order], salts[order], parts[order]
+            parts = dids % p
+            order = np.lexsort((tids, parts))
+            t_s, p_s = tids[order], parts[order]
             d_s = dids[order]
             c_s = cnts[order].astype(np.int32)
             n_s = nrm[order].astype(np.uint8)
             boundary = np.ones(t_s.size, dtype=bool)
-            boundary[1:] = ((t_s[1:] != t_s[:-1]) | (s_s[1:] != s_s[:-1])
-                            | (p_s[1:] != p_s[:-1]))
+            boundary[1:] = (t_s[1:] != t_s[:-1]) | (p_s[1:] != p_s[:-1])
             starts = np.flatnonzero(boundary)
             ends = np.append(starts[1:], t_s.size)
             if with_pos:
@@ -593,7 +455,6 @@ class TokenizeFlatten:
             terms_lut = self._terms[fname]
             for s, e in zip(starts, ends):
                 r_part.append(int(p_s[s]))
-                r_salt.append(int(s_s[s]))
                 r_field.append(fname)
                 r_term.append(terms_lut[int(t_s[s])])
                 r_docs.append(d_s[s:e].tobytes())
@@ -618,7 +479,6 @@ class TokenizeFlatten:
                      for c in self.docstore_cols]
         ids64 = ids.astype(np.int64)
         r_part.extend((p + ids % p).tolist())
-        r_salt.extend([0] * batch.num_rows)
         r_field.extend([DOC_SENTINEL] * batch.num_rows)
         r_term.extend(
             "\x1f".join([("\x00N" if mc[i] is None else str(mc[i]))
@@ -631,7 +491,6 @@ class TokenizeFlatten:
         r_np.extend([1] * batch.num_rows)
         cols = {
             "part": pa.array(np.asarray(r_part, dtype=np.int32)),
-            "salt": pa.array(np.asarray(r_salt, dtype=np.int32)),
             "field": pa.array(r_field, pa.string()),
             "term": pa.array(r_term, pa.string()),
             "docs": pa.array(r_docs, pa.large_binary()),
@@ -669,19 +528,19 @@ class TokenizeFlatten:
 _TOKENIZER_STATE: dict[str, "TokenizeFlatten"] = {}
 
 
-def _tokenize_task(batch: pa.Table, cfg: IndexConfig, hot: dict,
+def _tokenize_task(batch: pa.Table, cfg: IndexConfig,
                    docstore_cols: list[str], key: str) -> pa.Table:
     st = _TOKENIZER_STATE.get(key)
     if st is None:
         _TOKENIZER_STATE.clear()
-        st = _TOKENIZER_STATE[key] = TokenizeFlatten(cfg, hot, docstore_cols)
+        st = _TOKENIZER_STATE[key] = TokenizeFlatten(cfg, docstore_cols)
     return st(batch)
 
 
-def _metrics_row(part: int, salt: int, n_terms: int, n_postings: int,
+def _metrics_row(part: int, n_terms: int, n_postings: int,
                  nbytes: int, n_docs: int, skipped: bool,
                  field_tf: dict | None = None) -> pa.Table:
-    return pa.table({"part": [part], "salt": [salt], "n_terms": [n_terms],
+    return pa.table({"part": [part], "n_terms": [n_terms],
                      "n_postings": [n_postings], "bytes": [nbytes],
                      "n_docs": [n_docs], "skipped": [skipped],
                      "field_tf": [json.dumps(field_tf or {}, sort_keys=True)]})
@@ -719,7 +578,7 @@ def _write_docstore_group(group: pa.Table, index_dir: str, fp: str,
         with open(man) as f:
             m = json.load(f)
         if m.get("fingerprint") == fp:
-            return _metrics_row(part, 0, 0, 0, m.get("bytes", 0),
+            return _metrics_row(part, 0, 0, m.get("bytes", 0),
                                 m["rows"], True)
     ids = np.frombuffer(b"".join(group.column("docs").to_pylist()),
                         dtype=np.int64)
@@ -770,7 +629,7 @@ def _write_docstore_group(group: pa.Table, index_dir: str, fp: str,
     if fallback_cols:
         man_doc["string_fallback_cols"] = fallback_cols
     _atomic_write_json(man_doc, man)
-    return _metrics_row(part, 0, 0, 0, nbytes, tbl.num_rows, False)
+    return _metrics_row(part, 0, 0, nbytes, tbl.num_rows, False)
 
 
 def _encode_segment(group: pa.Table, index_dir: str, fp: str,
@@ -781,18 +640,16 @@ def _encode_segment(group: pa.Table, index_dir: str, fp: str,
     if part >= cfg.num_partitions:          # sentinel range: docstore
         return _write_docstore_group(group, index_dir, fp, cfg,
                                      docstore_cols, gen, docstore_types)
-    salt = int(group.column("salt")[0].as_py())
     part_dir = os.path.join(index_dir, "parts", f"part-{part:04d}")
     os.makedirs(part_dir, exist_ok=True)
     os.makedirs(os.path.join(index_dir, "manifest"), exist_ok=True)
-    out = os.path.join(part_dir, f"seg-{salt:02d}{gen}.parquet")
-    man = os.path.join(index_dir, "manifest",
-                       f"seg-{part:04d}-{salt:02d}{gen}.json")
+    out = os.path.join(part_dir, f"seg-00{gen}.parquet")
+    man = os.path.join(index_dir, "manifest", f"seg-{part:04d}-00{gen}.json")
     if os.path.exists(man):
         with open(man) as f:
             m = json.load(f)
         if m.get("fingerprint") == fp:
-            return _metrics_row(part, salt, m["n_terms"], m["n_postings"],
+            return _metrics_row(part, m["n_terms"], m["n_postings"],
                                 m["bytes"], 0, True, m.get("field_tf"))
     t0 = time.monotonic()
     # rows are packed runs (one per block x term — TokenizeFlatten's
@@ -858,8 +715,8 @@ def _encode_segment(group: pa.Table, index_dir: str, fp: str,
     # snappy'd); ordinal postings save ~5 B/posting post-compression,
     # so below ~1 posting per unique doc the LUT can never win — skip
     # the ordinal encode + snappy probe entirely (recovers the build
-    # throughput cost of measuring both representations on the
-    # low-overlap segments a big term-partitioned build produces)
+    # throughput cost of measuring both representations on
+    # low-overlap segments)
     consider_lut = n >= seg_lut.size + 64
     # probe budget: materialize at most this many encoded bytes per
     # representation; beyond it only exact (cheap, vectorized) varint
@@ -977,34 +834,20 @@ def _encode_segment(group: pa.Table, index_dir: str, fp: str,
     for f, t in zip(o_field[:n_terms], o_ttf[:n_terms]):
         field_tf[f] = field_tf.get(f, 0) + t
     _atomic_write_json({
-        "fingerprint": fp, "part": part, "salt": salt,
+        "fingerprint": fp, "part": part,
         "n_terms": n_terms, "n_postings": n_postings, "bytes": nbytes,
         "field_tf": field_tf,
         "encode_sec": round(time.monotonic() - t0, 3), "path": out,
     }, man)
-    return _metrics_row(part, salt, n_terms, n_postings, nbytes, 0,
+    return _metrics_row(part, n_terms, n_postings, nbytes, 0,
                         False, field_tf)
 
 
 def build_postings(source, index_dir: str, cfg: IndexConfig, fp: str,
-                   hot: dict[str, int], gen: str = "") -> tuple[dict, int]:
-    """Single-read pass: tokenize + flatten -> groupby(part, salt) ->
-    per-group encode (postings segments for parts < P, docstore files
-    for the sentinel range).  Returns (metrics, n_docs).
-
-    ``cfg.shuffle_mode='direct'`` routes path-list sources through the
-    sort-free manual exchange (:func:`_build_postings_direct`);
-    Dataset sources always use the sort path (no row-group plan to
-    split)."""
-    if cfg.shuffle_mode == "direct" and not isinstance(source, rd.Dataset):
-        if isinstance(source, str):
-            paths = sorted(
-                os.path.join(root, fn)
-                for root, _, files in os.walk(source) for fn in files
-                if fn.endswith(".parquet"))
-        else:
-            paths = sorted(source)
-        return _build_postings_direct(paths, index_dir, cfg, fp, hot, gen)
+                   gen: str = "") -> tuple[dict, int]:
+    """Single-read pass: tokenize + flatten -> groupby(part) -> per-group
+    encode (postings segments for parts < P, docstore files for the
+    sentinel range).  Returns (metrics, n_docs)."""
     ds = _read_source(source)
     # the docstore keeps every identity/metadata column — including
     # small indexed-field sources like ``path`` — and drops only the
@@ -1022,21 +865,17 @@ def build_postings(source, index_dir: str, cfg: IndexConfig, fp: str,
         for fname, _, _ in cfg.fields:
             docstore_cols.append(f"__dl_{fname}")
             docstore_types[f"__dl_{fname}"] = "int64"
-    if cfg.tokenize_mode == "actors":
-        flat = ds.map_batches(TokenizeFlatten,
-                              fn_constructor_kwargs={"cfg": cfg, "hot": hot,
-                                                     "docstore_cols": docstore_cols},
-                              batch_format="pyarrow",
-                              batch_size=cfg.tokenize_batch_size,
-                              concurrency=tokenize_concurrency(cfg))
-    else:
-        import functools
-        key = fp + str(hash(tuple(sorted(hot.items()))))
-        task = functools.partial(_tokenize_task, cfg=cfg, hot=hot,
-                                 docstore_cols=docstore_cols, key=key)
-        flat = ds.map_batches(task, batch_format="pyarrow",
-                              batch_size=cfg.tokenize_batch_size)
-    res = flat.groupby(["part", "salt"]).map_groups(
+    # a stateless task pool with worker-global analyzer state: Ray
+    # reuses worker processes, so caches amortize like an actor's, but
+    # no CPUs are reserved and the scheduler interleaves tokenize with
+    # shuffle work (measured: a fixed actor pool either starves the
+    # shuffle or idles half the cluster)
+    import functools
+    task = functools.partial(_tokenize_task, cfg=cfg,
+                             docstore_cols=docstore_cols, key=fp)
+    flat = ds.map_batches(task, batch_format="pyarrow",
+                          batch_size=cfg.tokenize_batch_size)
+    res = flat.groupby("part").map_groups(
         lambda g: _encode_segment(g, index_dir, fp, cfg, docstore_cols, gen,
                                   docstore_types),
         batch_format="pyarrow")
@@ -1065,113 +904,6 @@ def _reduce_metrics(batches, cfg: IndexConfig) -> tuple[dict, int]:
                 field_tf[f] = field_tf.get(f, 0) + int(t)
     metrics["field_tf"] = field_tf
     return metrics, n_docs
-
-
-# --- direct (sort-free) exchange for PASS B ---
-
-
-def _input_splits(paths: list[str], cpus: int) -> list[list[tuple]]:
-    """Row-group-aligned input splits for the direct exchange: the
-    same block-count target as _read_paths (~4 blocks/CPU, never
-    splitting inside a row group).  Each split is a list of
-    (path, rg_start, rg_end) ranges."""
-    metas = []
-    for p in paths:
-        metas.append((p, pq.ParquetFile(p).metadata.num_row_groups))
-    target = min(max(len(paths), cpus), 4 * cpus)
-    per_file = max(1, -(-target // max(len(paths), 1)))
-    splits: list[list[tuple]] = []
-    for p, nrg in metas:
-        k = min(per_file, nrg)
-        bounds = np.linspace(0, nrg, k + 1).astype(int)
-        for i in range(k):
-            if bounds[i + 1] > bounds[i]:
-                splits.append([(p, int(bounds[i]), int(bounds[i + 1]))])
-    return splits
-
-
-def _tokenize_direct(spec: list[tuple], cfg: IndexConfig, hot: dict,
-                     docstore_cols: list[str], key: str, n_slots: int):
-    """One direct-exchange map task: read its row-group ranges,
-    tokenize (same worker-global-state task path as the sort mode),
-    and return the flat rows pre-partitioned into one table per slot
-    (slot == the part value: postings parts 0..P-1, docstore sentinel
-    parts P..2P-1)."""
-    tables = []
-    for path, lo, hi in spec:
-        pf = pq.ParquetFile(path)
-        tables.append(pf.read_row_groups(list(range(lo, hi))))
-    batch = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-    flat = _tokenize_task(batch, cfg, hot, docstore_cols, key)
-    parts = flat.column("part").to_numpy(zero_copy_only=False)
-    order = np.argsort(parts, kind="stable")
-    flat = flat.take(pa.array(order))
-    bounds = np.searchsorted(parts[order], np.arange(n_slots + 1))
-    return tuple(flat.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-                 for i in range(n_slots))
-
-
-def _encode_direct_slot(slot: int, index_dir: str, fp: str,
-                        cfg: IndexConfig, docstore_cols: list[str],
-                        gen: str, docstore_types: dict | None,
-                        *shards: pa.Table) -> pa.Table:
-    """One direct-exchange reduce task: concat the slot's shards and
-    run the SAME canonical encoders as the sort path (_encode_segment
-    sorts by field/term/doc_id, _write_docstore_group by doc_id/sha —
-    arrival order cannot leak into bytes).  A postings slot may hold
-    several salts of a hot part; each becomes its own segment file,
-    exactly as the sort path's (part, salt) groups."""
-    live = [s for s in shards if s.num_rows]
-    if not live:
-        return _metrics_row(0, 0, 0, 0, 0, 0, True).slice(0, 0)
-    tbl = pa.concat_tables(live).combine_chunks()
-    if slot >= cfg.num_partitions:
-        return _write_docstore_group(tbl, index_dir, fp, cfg,
-                                     docstore_cols, gen, docstore_types)
-    salts = tbl.column("salt").to_numpy(zero_copy_only=False)
-    out = []
-    for s in np.unique(salts):
-        sub = tbl.filter(pa.array(salts == s))
-        out.append(_encode_segment(sub, index_dir, fp, cfg,
-                                   docstore_cols, gen, docstore_types))
-    return pa.concat_tables(out)
-
-
-def _build_postings_direct(paths: list[str], index_dir: str,
-                           cfg: IndexConfig, fp: str, hot: dict,
-                           gen: str = "") -> tuple[dict, int]:
-    """PASS B over a manual hash exchange (shuffle_mode='direct'):
-    M tokenize tasks x 2P slot returns, then one encode task per slot
-    gathering its M shards.  The exchange volume equals the sort
-    path's, but there is no SortMap/SortReduce CPU and no boundary
-    sampling; intermediates live in the object store and spill like
-    any shuffle.  On a multi-node cluster the per-slot gather is the
-    plain all-to-all every distributed build pays."""
-    import ray as _ray
-    schema = pq.read_schema(paths[0])
-    docstore_cols = [c for c in schema.names
-                     if c not in (cfg.sha_col, "doc_id", "content_sha256")
-                     and c not in cfg.vector_fields]
-    docstore_types = {n: str(t) for n, t in zip(schema.names, schema.types)
-                      if n in docstore_cols}
-    if cfg.store_doclens:
-        for fname, _, _ in cfg.fields:
-            docstore_cols.append(f"__dl_{fname}")
-            docstore_types[f"__dl_{fname}"] = "int64"
-    cpus = int(_ray.cluster_resources().get("CPU", 4))
-    splits = _input_splits(paths, cpus)
-    n_slots = 2 * cfg.num_partitions
-    key = fp + str(hash(tuple(sorted(hot.items()))))
-    tok = _ray.remote(_tokenize_direct).options(num_returns=n_slots)
-    per_task = [tok.remote(spec, cfg, hot, docstore_cols, key, n_slots)
-                for spec in splits]
-    if n_slots == 1:
-        per_task = [[r] for r in per_task]
-    enc = _ray.remote(_encode_direct_slot)
-    enc_refs = [enc.remote(slot, index_dir, fp, cfg, docstore_cols, gen,
-                           docstore_types, *[t[slot] for t in per_task])
-                for slot in range(n_slots)]
-    return _reduce_metrics(_ray.get(enc_refs), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1425,11 +1157,8 @@ def build_index(source, index_dir: str, cfg: IndexConfig | None = None,
         for f in os.listdir(mdir):
             os.unlink(os.path.join(mdir, f))
     _purge_stale_outputs(index_dir, fp)
-    hot = estimate_hot_terms(source, cfg) \
-        if cfg.salting and cfg.partition_by == "term" else {}
-    metrics, n_docs = build_postings(source, index_dir, cfg, fp, hot)
+    metrics, n_docs = build_postings(source, index_dir, cfg, fp)
     build_filters(index_dir, cfg)
-    metrics["hot_terms"] = len(hot)
     return finalize(index_dir, cfg, fp, n_docs, metrics,
                     time.monotonic() - t0)
 
@@ -1443,12 +1172,12 @@ def extend_index(new_source, index_dir: str,
     segments, reference index.py:320-397).
 
     New postings/docstore rows land in generation-suffixed files
-    (``seg-SS-g<fp8>.parquet`` / ``part-DDDD-g<fp8>.parquet``) next to
-    the base build's; ``ShardReader`` already merges a term's multiple
-    runs (the salted-segment machinery), so queries see old+new docs
-    with no read-path changes.  Stats (n_docs, per-field total_tf,
-    avgdl) are combined in the manifest; keyword-filter parts for the
-    new docstore files are added by the per-file-fingerprinted PASS C.
+    (``seg-00-g<fp8>.parquet`` / ``part-DDDD-g<fp8>.parquet``) next to
+    the base build's; ``ShardReader`` merges a term's runs across
+    segments, so queries see old+new docs with no read-path changes.
+    Stats (n_docs, per-field total_tf, avgdl) are combined in the
+    manifest; keyword-filter parts for the new docstore files are added
+    by the per-file-fingerprinted PASS C.
 
     Chronology guarantee: generations are UNORDERED and query results
     are independent of ingestion order.  This is safe by construction,
@@ -1471,10 +1200,7 @@ def extend_index(new_source, index_dir: str,
     man_path = os.path.join(index_dir, "INDEX_MANIFEST.json")
     with open(man_path) as f:
         manifest = json.load(f)
-    base_cfg = IndexConfig(**{k: (tuple(tuple(x) if isinstance(x, list)
-                                        else x for x in v)
-                                  if isinstance(v, list) else v)
-                              for k, v in manifest["config"].items()})
+    base_cfg = config_from_dict(manifest["config"])
     cfg = cfg or base_cfg
     if cfg.fingerprint_dict() != base_cfg.fingerprint_dict():
         raise ValueError("extend_index requires the base build's config")
@@ -1491,10 +1217,8 @@ def extend_index(new_source, index_dir: str,
         # already ingested (possibly folded in by a past compaction)
         return manifest
     _scrub_orphan_generations(index_dir, manifest)
-    hot = estimate_hot_terms(new_source, cfg) \
-        if cfg.salting and cfg.partition_by == "term" else {}
     gen_tag = f"-g{genfp[:8]}"
-    metrics, n_docs = build_postings(new_source, index_dir, cfg, genfp, hot,
+    metrics, n_docs = build_postings(new_source, index_dir, cfg, genfp,
                                      gen=gen_tag)
     # Upsert guard: re-ingesting a currently tombstoned id would revive
     # the OLD postings alongside the new ones (tombstones are not
@@ -1564,8 +1288,8 @@ def extend_index(new_source, index_dir: str,
 
 
 class _CompactPart:
-    """One task per term-partition: merge the part's base + generation
-    segments (and salted runs) into a single canonical seg-00, via the
+    """One task per partition: merge the part's base + generation
+    segments into a single canonical seg-00, via the
     existing encode path (adaptive LUT and all).  The merge is the
     read-time run merge made durable — OpenSearch segment-merge parity
     (the reference delegates merging to OpenSearch entirely)."""
@@ -1641,7 +1365,6 @@ class _CompactPart:
             return
         group = {
             "part": pa.array(np.full(len(cols["field"]), part, np.int32)),
-            "salt": pa.array(np.zeros(len(cols["field"]), np.int32)),
             "field": pa.array(cols["field"], pa.string()),
             "term": pa.array(cols["term"], pa.string()),
             "docs": pa.array(cols["docs"], pa.large_binary()),
@@ -1729,15 +1452,12 @@ def compact_index(index_dir: str) -> dict:
     with open(man_path) as f:
         manifest = json.load(f)
     from ..state.shard import load_tombstones
+    cfg = config_from_dict(manifest["config"])
     gens = manifest.get("generations", {})
     tombs = load_tombstones(index_dir)
     if not gens and tombs.size == 0:
         return manifest
     _scrub_orphan_generations(index_dir, manifest)
-    cfg_dict = manifest["config"]
-    cfg = IndexConfig(**{k: (tuple(tuple(x) if isinstance(x, list) else x
-                                   for x in v) if isinstance(v, list) else v)
-                         for k, v in cfg_dict.items()})
     combined = hashlib.sha256(
         ("|".join([manifest["fingerprint"]] + sorted(gens) +
                   [f"tomb:{tombs.size}:{int(tombs.sum())}"])).encode()
@@ -1912,14 +1632,9 @@ def _docstore_schema_names(index_dir: str) -> list[str]:
 
 
 def config_from_manifest(index_dir: str) -> IndexConfig:
-    """The IndexConfig an index was built with, reconstructed from its
-    manifest (lists re-tupled — JSON round-trip loses tuple-ness)."""
+    """The IndexConfig an index was built with, read from its manifest."""
     with open(os.path.join(index_dir, "INDEX_MANIFEST.json")) as f:
-        cfg = json.load(f)["config"]
-    return IndexConfig(**{k: (tuple(tuple(x) if isinstance(x, list)
-                                    else x for x in v)
-                              if isinstance(v, list) else v)
-                          for k, v in cfg.items()})
+        return config_from_dict(json.load(f)["config"])
 
 
 def split_index(index_dir: str, out_dir: str, num_partitions: int,

@@ -340,10 +340,7 @@ FROM t
 
 
 def _docs_index_cfg() -> IndexConfig:
-    # partition_by="term" pinned: these entries are the TERM-layout
-    # oracle twins (the *_sharded entries cover the doc-layout default);
-    # pinning also keeps the cached /tmp index fingerprints stable
-    return IndexConfig(num_partitions=4, partition_by="term",
+    return IndexConfig(num_partitions=4,
                        # src: the source label as a second TEXT field
                        # (multi_match / dis_max combine it with content;
                        # it stays a keyword_field too for filters)
@@ -351,9 +348,7 @@ def _docs_index_cfg() -> IndexConfig:
                                ("src", "source", "base")),
                        keyword_fields=("lang", "source"),
                        range_fields=("n_chars",),
-                       doc_id_col="doc_id", sha_col="text",
-                       sample_mod=16, hot_df_threshold=1000, salt_unit=1000,
-                       max_salts=4)
+                       doc_id_col="doc_id", sha_col="text")
 
 
 def _docs_index_dir(sf_dir: str) -> str:
@@ -375,8 +370,7 @@ def bm25_topk(sf_dir: str) -> pd.DataFrame:
 
 
 def search_topk(sf_dir: str) -> pd.DataFrame:
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.search(BM25_QUERY, field="content", k=BM25_K, method="wand")
@@ -394,8 +388,7 @@ def search_after_page2(sf_dir: str) -> pd.DataFrame:
     must equal the oracle's ``OFFSET k`` slice of the same ranking —
     cursor paging accumulates no offset cost but must stay
     rank-consistent with it."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         page1 = s.search(BM25_QUERY, field="content", k=BM25_K)
@@ -414,8 +407,7 @@ def search_after_page2(sf_dir: str) -> pd.DataFrame:
 def search_and_topk(sf_dir: str) -> pd.DataFrame:
     """Conjunctive (AND) BM25 top-k — the Lucene conjunction-iterator
     semantics (SURVEY.md §2.5), via WAND with mode='and'."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.search(BM25_QUERY, field="content", k=BM25_K, mode="and",
@@ -434,10 +426,7 @@ def search_doc_sharded(sf_dir: str) -> pd.DataFrame:
     global df (dfs_query_then_fetch), driver merges P*k rows — the
     scale path where high-df postings never centralize.  Same oracle
     and identical ranks as search_topk."""
-    import dataclasses
-    idx = _docs_index_dir(sf_dir) + "_doc"
-    cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc")
-    build_index(_docs_source(sf_dir), idx, cfg, resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.search_doc_sharded(BM25_QUERY, field="content", k=BM25_K)
@@ -451,14 +440,12 @@ def search_doc_sharded(sf_dir: str) -> pd.DataFrame:
 
 
 def _doc_sharded_index(sf_dir: str, positions: bool = False) -> str:
-    """Build-or-resume the DOC-partitioned index (the scale-default
-    layout — every query below executes per shard, postings never
-    centralize).  ``positions=True`` adds the positional postings the
-    phrase/span family needs."""
-    import dataclasses
-    base = _docs_index_cfg_pos() if positions else _docs_index_cfg()
-    cfg = dataclasses.replace(base, partition_by="doc")
-    idx = _docs_index_dir(sf_dir) + ("_docpos" if positions else "_doc")
+    """Build-or-resume the shared documents index that the in-process
+    entries also open (``positions=True``: the positional one the
+    phrase/span family needs) — the *_sharded entries below execute
+    on it per shard, so postings never centralize."""
+    cfg = _docs_index_cfg_pos() if positions else _docs_index_cfg()
+    idx = _docs_index_dir(sf_dir) + ("_pos" if positions else "")
     build_index(_docs_source(sf_dir), idx, cfg, resume=True)
     return idx
 
@@ -536,8 +523,7 @@ def _hl_index(sf_dir: str) -> str:
     (store_source=True) — the fetch surface highlight and scroll
     need.  Doc layout so the ranked query runs per shard."""
     import dataclasses
-    cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc",
-                              store_source=True)
+    cfg = dataclasses.replace(_docs_index_cfg(), store_source=True)
     idx = _docs_index_dir(sf_dir) + "_hl"
     build_index(_docs_source(sf_dir), idx, cfg, resume=True)
     return idx
@@ -620,7 +606,7 @@ def _score_frame(hits) -> pd.DataFrame:
 def search_bool_sharded(sf_dir: str) -> pd.DataFrame:
     """search_bool_topk's bool query executed per DOC shard with
     global idf (dfs_query_then_fetch over the full DSL) — same oracle,
-    rank+score identical to the term-partitioned path."""
+    rank+score identical to the in-process path."""
     s = Searcher(_doc_sharded_index(sf_dir),
                  use_actors=ray.is_initialized())
     try:
@@ -786,9 +772,7 @@ def search_multi_match_phrase(sf_dir: str) -> pd.DataFrame:
     the SQL twin is the content-side scored-phrase formula verbatim —
     the two-field COMBINE arithmetic is pytest-verified on a fixture
     where both fields genuinely match (test_multi_match)."""
-    idx = _docs_index_dir(sf_dir) + "_pos"
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg_pos(),
-                resume=True)
+    idx = _doc_sharded_index(sf_dir, positions=True)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.multi_match(BM25_QUERY, ["content", "src^2"],
@@ -846,8 +830,7 @@ LIMIT {BM25_K}
 def phrase_docs(sf_dir: str) -> pd.DataFrame:
     """Exact phrase query ("spark join") over a positional index —
     every matching doc with its phrase frequency."""
-    idx = _docs_index_dir(sf_dir) + "_pos"
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg_pos(), resume=True)
+    idx = _doc_sharded_index(sf_dir, positions=True)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.phrase_search(BM25_QUERY, field="content", k=1_000_000)
@@ -926,8 +909,7 @@ def search_histogram_empty_buckets(sf_dir: str) -> pd.DataFrame:
     AND match set at a fine interval leaves genuine gaps, which the
     coordinator fills with zero-count buckets between the first and
     last non-empty one."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         buckets = s.histogram_aggregation(
@@ -1018,8 +1000,7 @@ def search_terms_histogram(sf_dir: str) -> pd.DataFrame:
     """terms x histogram nested aggregation (the dashboard area-chart
     split-series shape): per (source, 100-char n_chars bucket), count
     of 'spark join' matches."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         rows = s.terms_histogram_aggregation(BM25_QUERY, "source",
@@ -1051,8 +1032,7 @@ def search_rare_terms(sf_dir: str) -> pd.DataFrame:
     count <= 22) of the 'spark join' match set, ascending — exact
     under sharding because it counts everything then filters small,
     unlike an asc-ordered terms agg."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         rows = s.rare_terms_aggregation(BM25_QUERY, "source",
@@ -1105,8 +1085,7 @@ def search_suggest_damerau(sf_dir: str) -> pd.DataFrame:
     transposition of 'spark' — damerau distance 1 but plain
     Levenshtein 2, so max_edits=1 finds it only under the
     transposition metric."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         sugg = s.suggest("saprk quey", field="content", size=5,
@@ -1132,8 +1111,7 @@ def search_suggest(sf_dir: str) -> pd.DataFrame:
     and dfs travel.  suggest_mode='missing' verified separately in
     pytest — the oracle probes are chosen absent from the corpus so
     both modes coincide."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         sugg = s.suggest("sprak jion", field="content", size=5)
@@ -1175,8 +1153,7 @@ def search_suggest_phrase(sf_dir: str) -> pd.DataFrame:
     from per-token candidates, scored sum(ln(1+df)) - edits (the
     documented LM simplification; same candidate machinery as
     search_suggest)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         phrases = s.suggest_phrase("sprak jion", field="content", size=3)
@@ -1227,14 +1204,7 @@ MULTI_MATCH_TIE = 0.3
 
 
 def _multi_match_hits(sf_dir: str, sharded: bool) -> pd.DataFrame:
-    import dataclasses
-    if sharded:
-        idx = _docs_index_dir(sf_dir) + "_doc"
-        cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc")
-    else:
-        idx = _docs_index_dir(sf_dir)
-        cfg = _docs_index_cfg()
-    build_index(_docs_source(sf_dir), idx, cfg, resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         fn = s.multi_match_sharded if sharded else s.multi_match
@@ -1335,8 +1305,7 @@ def search_value_count(sf_dir: str) -> pd.DataFrame:
     missing the lang keyword field (presence = the packed filter
     postings; every fixture doc has lang, so missing must be exactly
     0 — the arithmetic, not just the happy path, is checked)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         n_with, n_missing = s.value_count_aggregation(
@@ -1499,8 +1468,7 @@ def search_multi_match_cross(sf_dir: str) -> pd.DataFrame:
     = best field + tie_breaker x rest, doc score = sum over terms.
     'src3' is rare in content but common in src, so the blended idf
     visibly diverges from the per-field idfs best_fields uses."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.multi_match(MULTI_MATCH_QUERY, MULTI_MATCH_FIELDS,
@@ -1737,8 +1705,7 @@ LIMIT {BM25_K}
 def search_range_topk(sf_dir: str) -> pd.DataFrame:
     """BM25 top-k restricted to docs with n_chars in [200, 2000] — the
     numeric range filter over the value-sorted per-part range tables."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.search(BM25_QUERY, field="content", k=BM25_K,
@@ -1756,8 +1723,7 @@ def search_bool_topk(sf_dir: str) -> pd.DataFrame:
     """Boolean query (OpenSearch bool DSL): must=spark,
     should=join|sort (minimum_should_match=1), must_not=dup — the
     reference's saved-search composition shape."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.search_bool(must=["spark"], should=["join", "sort"],
@@ -1853,8 +1819,7 @@ def _cf_index(sf_dir: str) -> str:
     (store_doclens=True) — combined_fields' BM25F needs every field's
     dl even where tf = 0."""
     import dataclasses
-    cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc",
-                              store_doclens=True)
+    cfg = dataclasses.replace(_docs_index_cfg(), store_doclens=True)
     idx = _docs_index_dir(sf_dir) + "_cf"
     build_index(_docs_source(sf_dir), idx, cfg, resume=True)
     return idx
@@ -1949,8 +1914,7 @@ def search_match_bool_prefix(sf_dir: str) -> pd.DataFrame:
 def search_prefix(sf_dir: str) -> pd.DataFrame:
     """Prefix query 's*' with scoring-boolean rewrite — the term
     dictionary expands where it lives (per-part actor scan)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.prefix_search("s", field="content", k=BM25_K)
@@ -1966,8 +1930,7 @@ def search_prefix(sf_dir: str) -> pd.DataFrame:
 def search_wildcard(sf_dir: str) -> pd.DataFrame:
     """Wildcard query 's?a*' (matches e.g. scan/spark/small),
     scoring-boolean rewrite."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.wildcard_search("s?a*", field="content", k=BM25_K)
@@ -1988,8 +1951,7 @@ def search_regexp(sf_dir: str) -> pd.DataFrame:
     """Regexp query 's[a-z]*k' (whole-term anchored, Lucene
     RegexpQuery semantics), scoring-boolean rewrite over the
     dictionary expansion."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.regexp_search("s[a-z]*k", field="content", k=BM25_K)
@@ -2009,8 +1971,7 @@ def search_fuzzy(sf_dir: str) -> pd.DataFrame:
     """Fuzzy query 'vale'~2 — the probe itself is absent from the
     corpus; the dictionary scan expands to its edit-distance-2
     neighbours (value, table), scored as an OR with per-term idf."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.fuzzy_search("vale", field="content", fuzziness=2, k=BM25_K)
@@ -2033,8 +1994,7 @@ def search_fuzzy_damerau(sf_dir: str) -> pd.DataFrame:
     transposition of the common corpus token 'value' — damerau
     distance 1 but plain Levenshtein 2, so this entry fails if the
     transposition metric silently degrades to plain."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.fuzzy_search("vaule", field="content", fuzziness=1,
@@ -2063,8 +2023,7 @@ def search_suggest_completion(sf_dir: str) -> pd.DataFrame:
     """Completion suggester: autocomplete 's' -> top-5 dictionary
     completions ranked by doc frequency (prefix bisect per part; only
     term strings + dfs travel)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         rows = s.suggest_completion("s", field="content", size=5)
@@ -2156,8 +2115,7 @@ LIMIT 5
 def search_sigterms(sf_dir: str) -> pd.DataFrame:
     """Significant-terms aggregation (JLH) over lang: foreground =
     docs matching 'dup', background = the whole corpus."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         rows = s.significant_terms("dup", "lang", field="content", k=10)
@@ -2193,8 +2151,7 @@ ORDER BY score_e6 DESC, value LIMIT 10
 def span_near_docs(sf_dir: str) -> pd.DataFrame:
     """Ordered span-near (spark .. join, slop=2) over the positional
     index — every matching doc with its ordered-tuple count."""
-    idx = _docs_index_dir(sf_dir) + "_pos"
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg_pos(), resume=True)
+    idx = _doc_sharded_index(sf_dir, positions=True)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.span_near(["spark", "join"], field="content", slop=2,
@@ -2212,8 +2169,7 @@ def search_span_first(sf_dir: str) -> pd.DataFrame:
     first N tokens) wrapping a span_or of two terms.  Exercises the
     nested-expression normalizer + evaluator, not just the flat
     span_near surface."""
-    idx = _docs_index_dir(sf_dir) + "_pos"
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg_pos(), resume=True)
+    idx = _doc_sharded_index(sf_dir, positions=True)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.span_query(
@@ -2266,8 +2222,7 @@ def search_span_containing(sf_dir: str) -> pd.DataFrame:
     (the term 'table'); count per doc.  Exercises the containment
     node over the nested span evaluator; the SQL twin checks position
     BETWEEN on the (a, b) pair grid."""
-    idx = _docs_index_dir(sf_dir) + "_pos"
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg_pos(), resume=True)
+    idx = _doc_sharded_index(sf_dir, positions=True)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.span_query(
@@ -2310,8 +2265,7 @@ def span_unordered_docs(sf_dir: str) -> pd.DataFrame:
     """Unordered span-near (spark / join within a 2+2 window, any
     order, distinct positions — OpenSearch ``span_near`` with
     ``in_order: false``) — every matching doc with its tuple count."""
-    idx = _docs_index_dir(sf_dir) + "_pos"
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg_pos(), resume=True)
+    idx = _doc_sharded_index(sf_dir, positions=True)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.span_near(["spark", "join"], field="content", slop=2,
@@ -2343,8 +2297,7 @@ ORDER BY span_tf DESC, a.doc_id
 def phrase_prefix_docs(sf_dir: str) -> pd.DataFrame:
     """match_phrase_prefix 'join s*' — exact lead token followed by
     any dictionary expansion of the prefix at the next position."""
-    idx = _docs_index_dir(sf_dir) + "_pos"
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg_pos(), resume=True)
+    idx = _doc_sharded_index(sf_dir, positions=True)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.match_phrase_prefix("join s", field="content",
@@ -2382,8 +2335,7 @@ def search_query_string(sf_dir: str) -> pd.DataFrame:
     """query_string execution: 'spark AND join -dup
     n_chars:[100 TO 400]' — the dashboard search-box surface lowered
     onto the boolean machinery (state/querystring.py)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.query_string("spark AND join -dup n_chars:[100 TO 400]",
@@ -2400,8 +2352,7 @@ def search_query_string(sf_dir: str) -> pd.DataFrame:
 def search_top_hits(sf_dir: str) -> pd.DataFrame:
     """terms + top_hits sub-aggregation: per lang, the top-2 'spark
     join' hits by BM25 (dashboard panel shape)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         buckets = s.top_hits_aggregation(BM25_QUERY, "lang",
@@ -2459,8 +2410,7 @@ def search_cardinality(sf_dir: str) -> pd.DataFrame:
     """Cardinality aggregation: distinct lang values over the docs
     matching 'dup' (exact; the sketch path for un-indexed columns is
     stages.sketches.hll_cardinality)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         n = s.cardinality_aggregation("dup", "lang", field="content")
@@ -2483,8 +2433,7 @@ def search_histogram(sf_dir: str) -> pd.DataFrame:
     """Numeric histogram aggregation (interval=100 over n_chars) of
     the full 'spark join' match set, via the doc-range-partitioned
     range tables."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         buckets = s.histogram_aggregation(BM25_QUERY, "n_chars", 100.0,
@@ -2517,8 +2466,7 @@ def search_histogram_pipeline(sf_dir: str) -> pd.DataFrame:
     OpenSearch emits NO derivative/moving value for the first bucket;
     the hash-stable projection 0-fills those nulls on both sides."""
     from ..state.searcher import pipeline_aggregations
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         buckets = s.histogram_aggregation(BM25_QUERY, "n_chars", 100.0,
@@ -2564,8 +2512,7 @@ def search_stats(sf_dir: str) -> pd.DataFrame:
     """stats + percentiles aggregation over the 'spark join' match
     set's n_chars (exact linear-interpolation quantiles == DuckDB
     quantile_cont; t-digest is the documented 100-TB swap-in)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         st = s.stats_aggregation(BM25_QUERY, "n_chars", field="content",
@@ -2590,10 +2537,7 @@ def search_stats_distributed(sf_dir: str) -> pd.DataFrame:
     (Searcher._stats_exact_distributed) — no matched value ever leaves
     its shard, so the quantile gather that ``'exact'`` does on the
     driver disappears at 100 TB.  Same oracle, bit-identical output."""
-    import dataclasses
-    idx = _docs_index_dir(sf_dir) + "_doc"
-    cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc")
-    build_index(_docs_source(sf_dir), idx, cfg, resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         st = s.stats_aggregation(BM25_QUERY, "n_chars", field="content",
@@ -2617,8 +2561,7 @@ def search_terms_stats(sf_dir: str) -> pd.DataFrame:
     'spark join' match set by lang, count + min/max/sum/avg n_chars
     per bucket (OpenSearch dashboard split-series shape; per-shard
     mergeable moments on doc-partitioned indexes)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         rows = s.terms_stats_aggregation(BM25_QUERY, "lang", "n_chars",
@@ -2662,8 +2605,7 @@ def search_extended_stats(sf_dir: str) -> pd.DataFrame:
     sum_of_squares from the same mergeable per-shard moments the
     stats agg ships (sum_sq rides along; derived on the
     coordinator)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         st = s.stats_aggregation(BM25_QUERY, "n_chars", field="content")
@@ -2700,8 +2642,7 @@ def search_percentile_ranks(sf_dir: str) -> pd.DataFrame:
     the 'spark join' match set's n_chars values <= each probe — the
     inverse of the percentiles agg, via per-shard count-<= partials
     (no matched value ships)."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         rows = s.percentile_ranks(BM25_QUERY, "n_chars",
@@ -3668,8 +3609,7 @@ def search_lang_agg(sf_dir: str) -> pd.DataFrame:
     """Dashboard terms-aggregation over the full match set: docs
     containing any query term, counted per keyword ``lang`` value via
     sorted intersection against the partitioned filter postings."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         agg = s.terms_aggregation(BM25_QUERY, "lang", field="content")
@@ -3739,8 +3679,7 @@ def template_classified_agg(sf_dir: str) -> pd.DataFrame:
         store, "log-docs-2026-01",
         {"text": "string", "lang": "string", "source": "string",
          "n_chars": "int64"},
-        doc_id_col="doc_id", num_partitions=4, partition_by="doc",
-        analyzer="base")
+        doc_id_col="doc_id", num_partitions=4, analyzer="base")
     assert "source" in cl.keyword_fields and "n_chars" in cl.range_fields
     idx = _docs_index_dir(sf_dir) + "_tmpl"
     build_index(_docs_source(sf_dir), idx, cfg, resume=True)
@@ -3776,8 +3715,7 @@ def search_mlt(sf_dir: str) -> pd.DataFrame:
     (min_doc_freq=2, top 6 by interest), then a bool/should
     disjunction with percentage minimum_should_match (30% floored,
     min 1) — OpenSearch MLT free-text form."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         hits = s.more_like_this(MLT_TEXT, k=BM25_K,
@@ -3845,8 +3783,7 @@ def search_range_agg(sf_dir: str) -> pd.DataFrame:
     """OpenSearch ``range`` aggregation over the full match set:
     per (from-incl, to-excl) bucket of ``n_chars``, the count of docs
     matching any query term — every bucket returned, zeros included."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         agg = s.range_aggregation(BM25_QUERY, "n_chars", _RANGE_AGG_EDGES)
@@ -3885,8 +3822,7 @@ _FILTERS_AGG = {"has_spark": ("spark", "or"),
 def search_filters_agg(sf_dir: str) -> pd.DataFrame:
     """OpenSearch ``filters`` aggregation: named sub-queries each
     counted over their own full match set."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         agg = s.filters_aggregation(_FILTERS_AGG)
@@ -4067,8 +4003,7 @@ def search_composite(sf_dir: str) -> pd.DataFrame:
     (lang, source) key tuples over the match set, 8 buckets per page
     via the after-key cursor — the concatenation equals the full
     grouped result the SQL oracle computes in one shot."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     rows: list[tuple[str, str, int]] = []
     try:
@@ -4671,8 +4606,7 @@ def _events_ip_index(sf_dir: str) -> str:
                       fields=(("content", "content", "base"),),
                       keyword_fields=("ip",),
                       range_fields=("ts_epoch", "v1", "weight"),
-                      doc_id_col="doc_id", sha_col="content",
-                      sample_mod=16, hot_df_threshold=1000)
+                      doc_id_col="doc_id", sha_col="content")
     build_index([os.path.join(fx, "events_ip.parquet")], idx, cfg,
                 resume=True)
     return idx
@@ -4909,8 +4843,7 @@ def search_bucket_pipeline(sf_dir: str) -> pd.DataFrame:
     post-processing over the reduced buckets, the OpenSearch pipeline
     shape."""
     from ..state.searcher import bucket_selector, bucket_sort
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         buckets = s.histogram_aggregation(BM25_QUERY, "n_chars",
@@ -4950,8 +4883,7 @@ def dsl_bucket_script(sf_dir: str) -> pd.DataFrame:
     runs coordinator-side over the reduced buckets
     (`state/searcher.py bucket_script_buckets`)."""
     from ..state.dsl import execute_dsl
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         resp = execute_dsl(s, {
@@ -4998,8 +4930,7 @@ def dsl_moving_fn(sf_dir: str) -> pd.DataFrame:
     window) emits no value and is dropped from the frame — == a SQL
     ``ROWS BETWEEN 3 PRECEDING AND 1 PRECEDING`` window."""
     from ..state.dsl import execute_dsl
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         resp = execute_dsl(s, {
@@ -5060,8 +4991,7 @@ def dsl_extended_stats_bucket(sf_dir: str) -> pd.DataFrame:
     family.  Floats ship on the ×10⁴ integer grid so the driver's
     value hash is byte-stable (the extended_stats oracle pattern)."""
     from ..state.dsl import execute_dsl
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         resp = execute_dsl(s, {
@@ -5122,8 +5052,7 @@ def dsl_cumulative_cardinality(sf_dir: str) -> pd.DataFrame:
     (`terms_histogram` partials), the cumulative union reduces
     driver-side (`cumulative_cardinality_buckets`)."""
     from ..state.dsl import execute_dsl
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         resp = execute_dsl(s, {
@@ -5171,8 +5100,7 @@ def dsl_terms_order(sf_dir: str) -> pd.DataFrame:
     truncate, so there is no shard_size approximation to tune — only
     distinct values and their mergeable moments travelled."""
     from ..state.dsl import execute_dsl
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         resp = execute_dsl(s, {
@@ -5213,8 +5141,7 @@ def search_bucket_metrics(sf_dir: str) -> pd.DataFrame:
     avg/sum/min/max_bucket) over the n_chars histogram parent — one
     coordinator reduce over the already-reduced buckets."""
     from ..state.searcher import bucket_metrics
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         buckets = s.histogram_aggregation(BM25_QUERY, "n_chars",
@@ -5303,8 +5230,7 @@ def search_adjacency(sf_dir: str) -> pd.DataFrame:
     counts of three named filters — per-shard partials on doc layouts
     (shard-local intersections are exact because doc ranges are
     disjoint), zero buckets omitted."""
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         adj = s.adjacency_matrix(_ADJ_FILTERS)
@@ -5389,8 +5315,7 @@ def search_normalize_pipeline(sf_dir: str) -> pd.DataFrame:
     coordinator-side over the reduced buckets, SQL twin via window
     functions."""
     from ..state.searcher import normalize_buckets, serial_diff_buckets
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         buckets = s.histogram_aggregation(BM25_QUERY, "n_chars",
@@ -5480,8 +5405,7 @@ def _docs_aux_index(sf_dir: str) -> str:
                       fields=(("content", "text", "base"),),
                       keyword_fields=(),
                       range_fields=("msm", "lat", "lon", "opt"),
-                      doc_id_col="doc_id", sha_col="text",
-                      sample_mod=16, hot_df_threshold=1000)
+                      doc_id_col="doc_id", sha_col="text")
     build_index([os.path.join(fx, "docs_aux.parquet")], idx, cfg,
                 resume=True)
     return idx
@@ -5874,8 +5798,7 @@ def search_percentiles_bucket(sf_dir: str) -> pd.DataFrame:
     — pure coordinator-side post-processing (== DuckDB
     quantile_cont)."""
     from ..state.searcher import percentiles_bucket
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         buckets = s.histogram_aggregation(BM25_QUERY, "n_chars",
@@ -6221,8 +6144,7 @@ def search_moving_percentiles(sf_dir: str) -> pd.DataFrame:
     histogram parent — coordinator-side, == DuckDB quantile_cont
     over a ROWS BETWEEN 3 PRECEDING AND 1 PRECEDING frame."""
     from ..state.searcher import moving_percentiles_buckets
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(), resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         buckets = s.histogram_aggregation(BM25_QUERY, "n_chars",
@@ -6560,7 +6482,7 @@ def _vec_index(sf_dir: str) -> str:
                       fields=(("content", "text", "base"),),
                       keyword_fields=(), range_fields=(),
                       doc_id_col="doc_id", sha_col="text",
-                      vector_fields=("emb",), salting=False)
+                      vector_fields=("emb",))
     idx = fx + "_idx"
     build_index([os.path.join(fx, "docs_vec.parquet")], idx, cfg,
                 resume=True)
@@ -6919,10 +6841,9 @@ def dsl_delete_by_query(sf_dir: str) -> pd.DataFrame:
     pool refreshes in one broadcast round, and the post-delete counts
     are SQL-exact.  Runs on a PRIVATE index copy (deletes mutate);
     the tombstone file resets per run so the entry is idempotent."""
-    import dataclasses
     import os as _os
     from ..state.dsl import execute_count, execute_delete_by_query
-    cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc")
+    cfg = _docs_index_cfg()
     idx = _docs_index_dir(sf_dir) + "_dbq"
     build_index(_docs_source(sf_dir), idx, cfg, resume=True)
     tomb = _os.path.join(idx, "tombstones.parquet")
@@ -6966,9 +6887,8 @@ def dsl_bulk(sf_dir: str) -> pd.DataFrame:
     counts are SQL-exact.  Runs on a PRIVATE index copy; replaying
     converges (generation no-op, deletes already dead), so the entry
     is idempotent without any reset."""
-    import dataclasses
     from ..state.dsl import execute_bulk, execute_count
-    cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc")
+    cfg = _docs_index_cfg()
     idx = _docs_index_dir(sf_dir) + "_bulk"
     build_index(_docs_source(sf_dir), idx, cfg, resume=True)
     newdoc = {"source": "src9", "lang": "xx", "n_chars": 20}
@@ -7210,9 +7130,7 @@ def dsl_suggest(sf_dir: str) -> pd.DataFrame:
     DuckDB.  Probes are absent from the corpus, so suggest_mode
     missing/always coincide (mode contract pinned in pytest)."""
     from ..state.dsl import execute_dsl
-    idx = _docs_index_dir(sf_dir)
-    build_index(_docs_source(sf_dir), idx, _docs_index_cfg(),
-                resume=True)
+    idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
         resp = execute_dsl(s, {"size": 0, "suggest": {
@@ -7314,8 +7232,7 @@ def dsl_update_by_query(sf_dir: str) -> pd.DataFrame:
     probe over the rewritten values."""
     import dataclasses
     from ..state.dsl import execute_count, execute_update_by_query
-    cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc",
-                              store_source=True)
+    cfg = dataclasses.replace(_docs_index_cfg(), store_source=True)
     idx = _docs_index_dir(sf_dir) + "_ubq"
     build_index(_docs_source(sf_dir), idx, cfg, resume=True)
     res = execute_update_by_query(idx, {
@@ -7373,8 +7290,7 @@ def dsl_reindex(sf_dir: str) -> pd.DataFrame:
     import dataclasses
     import shutil
     from ..state.dsl import execute_count, execute_dsl, execute_reindex
-    cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc",
-                              store_source=True)
+    cfg = dataclasses.replace(_docs_index_cfg(), store_source=True)
     idx = _docs_index_dir(sf_dir) + "_ri"
     build_index(_docs_source(sf_dir), idx, cfg, resume=True)
     dest = _docs_index_dir(sf_dir) + "_ri_dest"
@@ -7967,8 +7883,7 @@ def _split_index_dirs(sf_dir: str) -> tuple[str, str]:
                         os.path.join(root, "b.parquet"))
         with open(marker, "w") as f:
             f.write("ok")
-    cfg = dataclasses.replace(_docs_index_cfg(), partition_by="doc",
-                              num_partitions=2)
+    cfg = dataclasses.replace(_docs_index_cfg(), num_partitions=2)
     ia = os.path.join(root, "log-docs-2024-01")
     ib = os.path.join(root, "log-docs-2024-02")
     build_index([os.path.join(root, "a.parquet")], ia, cfg, resume=True)

@@ -311,9 +311,9 @@ class LazyPositions:
 
 
 def merge_postings(runs: list[TermPostings]) -> TermPostings:
-    """Merge salted runs of one term (disjoint doc sets, each sorted)
-    into one canonical sorted posting list — used when hot-term salting
-    (SURVEY.md §7.4) split a term's postings across segments."""
+    """Merge runs of one term (disjoint doc sets, each sorted) into one
+    canonical sorted posting list — a term's postings span every doc
+    part and every extend_index generation segment."""
     if len(runs) == 1:
         return runs[0]
     doc_ids = np.concatenate([r.doc_ids for r in runs])

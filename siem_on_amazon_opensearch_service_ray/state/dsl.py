@@ -108,14 +108,10 @@ __all__ = ["execute_dsl", "execute_count", "execute_msearch",
            "put_script", "get_script"]
 
 
-def _sharded(s) -> bool:
-    return s.use_actors and s._partition_by == "doc"
-
-
 def _pick(s, name: str):
     """Engine method, preferring the doc-sharded twin when routing
     applies."""
-    if _sharded(s) and hasattr(s, name + "_sharded"):
+    if s.use_actors and hasattr(s, name + "_sharded"):
         return getattr(s, name + "_sharded")
     return getattr(s, name)
 
@@ -385,7 +381,7 @@ def _exec_query(s, query: dict, size: int,
             cf = collapse["field"]
             fn = _pick(s, "collapse_search")
             return fn(text, cf, field=field, k=size)
-        if _sharded(s):
+        if s.use_actors:
             return s.search_doc_sharded(text, field=field, k=size) \
                 if op == "or" else s.search_bool_sharded(
                     must=text.split(), field=field, k=size)
@@ -1173,7 +1169,7 @@ def _exec_agg(s, name: str, spec: dict, qctx: tuple[str, str, str]
                                                [25., 50., 75.]))
         st = s.stats_aggregation(
             text, body["field"], qfield, mode, quantiles=qs,
-            quantile_method=("exact_distributed" if _sharded(s)
+            quantile_method=("exact_distributed" if s.use_actors
                              else "exact"))
         return {"values": {f"{p * 100:g}": st[f"p{int(p * 100)}"]
                            for p in qs}}
@@ -2006,7 +2002,7 @@ def _dbq_ids(searcher, query: dict):
     import numpy as np
 
     def _per_shard(method: str, kw: dict) -> list:
-        if _sharded(searcher):
+        if searcher.use_actors:
             import ray as _ray
             parts = _ray.get([a.exec_local.remote(method, kw, None)
                               for a in searcher.actors])

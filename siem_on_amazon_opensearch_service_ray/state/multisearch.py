@@ -249,10 +249,9 @@ class MultiSearcher:
     per-index Searcher (doc-partitioned indexes then keep their shard
     actor pools; the federation only adds one merge level)."""
 
-    # duck-compat with the DSL layer's routing probes: the federation
+    # duck-compat with the DSL layer's routing probe: the federation
     # coordinator itself is never doc-sharded (each member index is)
     use_actors = False
-    _partition_by = None
 
     def __init__(self, index_dirs: list[str], use_actors: bool = False):
         from .searcher import Searcher
@@ -306,7 +305,7 @@ class MultiSearcher:
         for name, s in self.searchers.items():
             ov = {"n_docs": n,
                   "avgdl": {**s.stats["avgdl"], field: avgdl}}
-            if s._partition_by == "doc" and s.use_actors:
+            if s.use_actors:
                 hits = s._exec_doc_sharded(method, kwargs, k, idf=idf,
                                            stats_override=ov,
                                            field=field)

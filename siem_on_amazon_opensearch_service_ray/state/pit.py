@@ -43,6 +43,7 @@ import numpy as np
 import pyarrow.parquet as pq
 
 _PITS_DIR = "pits"
+_ORDINAL_FILE = "next_ordinal"
 
 
 def _pits_path(index_dir: str) -> str:
@@ -54,26 +55,50 @@ def _manifest(index_dir: str) -> dict:
         return json.load(f)
 
 
+def _next_ordinal(pits: str) -> int:
+    """Reserve the next PIT ordinal from a counter persisted beside the
+    PIT states.  Ordinals never repeat, even after closes — a count of
+    the open PITs would hand a new PIT the ordinal (and so the id) of
+    a live one."""
+    path = os.path.join(pits, _ORDINAL_FILE)
+    try:
+        with open(path) as f:
+            n = int(f.read())
+    except FileNotFoundError:
+        n = 0
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        f.write(str(n + 1))
+    os.replace(tmp, path)
+    return n
+
+
 def open_pit(index_dir: str) -> str:
     """Open a PIT over the index's CURRENT state; returns the pit id.
-    Repeated opens return distinct ids (each carries an ordinal), so
-    independent consumers can close theirs without interference."""
+    Repeated opens return distinct ids (each carries a fresh ordinal),
+    so independent consumers can close theirs without interference."""
     from .shard import load_tombstones
     man = _manifest(index_dir)
     gens = sorted(man.get("generations", {}))
     tombs = load_tombstones(index_dir)
-    os.makedirs(_pits_path(index_dir), exist_ok=True)
-    ordinal = len(os.listdir(_pits_path(index_dir)))
-    raw = json.dumps([man["fingerprint"], gens, tombs.tolist(),
-                      ordinal]).encode()
-    pid = hashlib.blake2b(raw, digest_size=12).hexdigest()
-    state = {"base": man["fingerprint"], "generations": gens,
-             "tombstones": [int(x) for x in tombs.tolist()],
-             "ordinal": ordinal}
-    with open(os.path.join(_pits_path(index_dir), f"{pid}.json"),
-              "w") as f:
-        json.dump(state, f)
-    return pid
+    pits = _pits_path(index_dir)
+    os.makedirs(pits, exist_ok=True)
+    while True:
+        ordinal = _next_ordinal(pits)
+        raw = json.dumps([man["fingerprint"], gens, tombs.tolist(),
+                          ordinal]).encode()
+        pid = hashlib.blake2b(raw, digest_size=12).hexdigest()
+        state = {"base": man["fingerprint"], "generations": gens,
+                 "tombstones": [int(x) for x in tombs.tolist()],
+                 "ordinal": ordinal}
+        try:
+            # exclusive create: a concurrent opener that drew the
+            # same ordinal makes this one draw again
+            with open(os.path.join(pits, f"{pid}.json"), "x") as f:
+                json.dump(state, f)
+        except FileExistsError:
+            continue
+        return pid
 
 
 def close_pit(index_dir: str, pit_id: str) -> bool:

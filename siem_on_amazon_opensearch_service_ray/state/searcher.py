@@ -1,15 +1,24 @@
-"""Query execution: BM25 top-k over the term-partitioned index.
+"""Query execution: BM25 top-k over the doc-partitioned index.
 
-The index is term-partitioned (``crc32(field:term) % P``, SURVEY.md
-§7.4), so a query's terms each live in exactly one part.  Execution:
+The index is doc-partitioned (``doc_id % P``, SURVEY.md §7.1): every
+part is a complete mini-index over its doc range, so a query term's
+postings are sliced across every part.  Execution
+(dfs_query_then_fetch):
 
-1. the driver routes each analyzed query term to its owning part,
-2. stateful ``PartActor``s (one per part, ShardReader loaded once in
-   ``__init__`` — the actor-pool equivalent of a warm OpenSearch shard,
-   SURVEY.md §7.3) return the term's postings rows,
-3. the scorer runs document-at-a-time **block-max WAND** (Ding & Suel,
-   SIGIR'11) or vectorized term-at-a-time scoring over the gathered
-   postings; both produce identical top-k (tested).
+1. stateful ``PartActor``s (a range of parts each, ShardReaders loaded
+   once in ``__init__`` — the actor-pool equivalent of a warm
+   OpenSearch shard, SURVEY.md §7.3) return per-part df for the
+   analyzed query terms; the driver sums them into global idf,
+2. each actor scores its own parts with that idf through a shard-local
+   ``Searcher`` and returns only its local top-k,
+3. the driver merges the per-shard top-k.  The scorer is vectorized
+   term-at-a-time (OR) or vectorized intersection (AND); block-max
+   WAND (Ding & Suel, SIGIR'11) is kept as an explicit
+   ``method='wand'`` and is rank-identical (tested).
+
+``Searcher(use_actors=False)`` runs the same query methods in process
+over every part (the shard-local searcher inside a ``PartActor`` is one
+of these, restricted to the actor's parts).
 
 Ranking contract (reference: Lucene defaults, BASELINE.md): BM25
 k1=1.2 b=0.75, idf = ln(1+(N-df+0.5)/(df+0.5)), doc length quantized
@@ -17,10 +26,10 @@ through the SmallFloat byte4 norm, ties broken (score desc, doc_id
 asc).  Keyword filters (lang/repo) intersect sorted filter posting
 lists before ranking.
 
-Scale notes: postings travel from part actors to the scorer once per
-(query, term) — the payload is the compressed blobs, not documents.
-Hot-term salted runs are merged (sorted) and re-blocked in memory; the
-block-max metadata then drives WAND skipping.
+Scale notes: only df counts and top-k rows travel between actors and
+the driver; postings never leave their shard on the default path.  A
+term's runs across segments (base build + ``extend_index``
+generations) are merged (sorted) and re-blocked in memory.
 """
 
 from __future__ import annotations
@@ -90,7 +99,8 @@ def prepare_terms(query_terms: list[str], rows_by_term: dict[str, list[tuple]],
                   ) -> list[TermData]:
     """Dedup query terms (keeping first-seen order; multiplicity becomes
     the clause weight, Lucene boolean-clause parity), decode + merge
-    salted runs, attach block-max metadata.  ``idf_by_term`` injects
+    the term's runs (one per part and segment), attach block-max
+    metadata.  ``idf_by_term`` injects
     externally computed (global) idf — the doc-sharded path's
     dfs_query_then_fetch round, where local df must not drive idf."""
     counts = Counter(query_terms)
@@ -460,7 +470,7 @@ def score_wand(terms: list[TermData], k: int, mode: str, avgdl: float,
 def _decode_with_positions(rows: list[tuple]
                            ) -> tuple[np.ndarray, list[np.ndarray]]:
     """-> (sorted doc_ids, aligned per-posting position arrays), merging
-    salted runs (the run-merge permutation is applied to the position
+    the term's runs (the run-merge permutation is applied to the position
     lists too).  Eager — kept for tests/compat; the query path uses
     :class:`_PhraseTerm` (lazy)."""
     docs_parts: list[np.ndarray] = []
@@ -591,7 +601,7 @@ def _dispatch(method: str, terms: list[TermData], k: int, mode: str,
 # Chosen over threading a parameter through ~30 agg entry points: the
 # ONLY interpreters are the two match-set chokepoints below
 # (_candidate_ids for shard-side sets, Searcher._match_ids for the
-# term-layout driver set), so filters compose with every agg whose
+# driver-gathered set), so filters compose with every agg whose
 # match set flows through them.  Filter specs are hashable tuples —
 # ("kw", field, value | (values...)) or ("range", field, lo, hi) —
 # so they can ride memo keys (count_le_local) unchanged.
@@ -1759,37 +1769,6 @@ def percentiles_bucket(buckets: list[tuple], percents: list[float],
     return out
 
 
-def _sig_text_scan(readers, tombstones: np.ndarray, text_field: str,
-                   cand: np.ndarray, max_terms: int
-                   ) -> tuple[dict[str, int], dict[str, int]]:
-    """Term-layout significant_text scan over a reader collection: a
-    term lives in exactly one term partition, so per-reader (fg, df)
-    dicts union without double counting.  ``cand`` is the centralized
-    candidate set (term layout centralizes ids by construction)."""
-    fg: dict[str, int] = {}
-    df: dict[str, int] = {}
-    for r in readers:
-        vocab = r._sorted_terms(text_field)
-        if len(vocab) > max_terms:
-            raise ValueError(
-                f"significant_text on {text_field!r}: partition has "
-                f"{len(vocab)} terms > max_terms={max_terms}")
-        for t in vocab:
-            ids = _candidate_ids(r, text_field, [t], "or")
-            if ids.size and tombstones.size:
-                ids = ids[_excl_mask(ids, tombstones)]
-            if ids.size == 0:
-                continue
-            df[t] = df.get(t, 0) + int(ids.size)
-            if cand.size:
-                pos = np.minimum(np.searchsorted(cand, ids),
-                                 cand.size - 1)
-                n = int(np.count_nonzero(cand[pos] == ids))
-                if n:
-                    fg[t] = fg.get(t, 0) + n
-    return fg, df
-
-
 def _sig_text_partial(r: "ShardReader", p: int, tombstones: np.ndarray,
                       field: str, q_terms: list[str], mode: str,
                       text_field: str, max_terms: int
@@ -1898,7 +1877,7 @@ def _composite_partial(index_dir: str, sources: list[str],
 
 @ray.remote
 class PartActor:
-    """A warm shard-group actor: owns a RANGE of term partitions, each
+    """A warm shard-group actor: owns a RANGE of doc partitions, each
     loaded once in __init__ (SURVEY §7.3).  On a multi-node cluster the
     pool spreads part ranges across nodes; locally the pool size is
     min(P, cpus) so P can be large (shard granularity) without P
@@ -1909,7 +1888,7 @@ class PartActor:
         self.index_dir = index_dir
         self.readers = {p: ShardReader(index_dir, p) for p in parts}
         self.tombstones = load_tombstones(index_dir)
-        # lazily-built shard-local Searcher for exec_local (doc layout)
+        # lazily-built shard-local Searcher for exec_local
         self._local: "Searcher | None" = None
         # sorted matched-values memo for the distributed-exact
         # percentile protocol: one match-set computation serves every
@@ -1937,22 +1916,11 @@ class PartActor:
             self._local._rows_cache.clear()
         return int(self.tombstones.size)
 
-    def get_terms(self, field: str, terms_by_part: dict[int, list[str]]
-                  ) -> dict[str, list[tuple]]:
-        out: dict[str, list[tuple]] = {}
-        for p, terms in terms_by_part.items():
-            r = self.readers[p]
-            for t in terms:
-                rows = r.raw_rows(field, t)
-                if rows:
-                    out[t] = rows
-        return out
-
     def get_terms_all(self, field: str, terms: list[str]
                       ) -> dict[str, list[tuple]]:
         """Postings for ``terms`` from EVERY part this actor owns —
         the doc-partitioned gather (a term's postings are sliced
-        across all doc shards, unlike the term-routed layout)."""
+        across all doc shards)."""
         out: dict[str, list[tuple]] = {}
         for r in self.readers.values():
             for t in terms:
@@ -2167,15 +2135,6 @@ class PartActor:
             for t, x in d.items():
                 df[t] = df.get(t, 0) + x
         return fg, df, n_cand
-
-    def sig_text_scan(self, text_field: str, cand: np.ndarray,
-                      max_terms: int
-                      ) -> tuple[dict[str, int], dict[str, int]]:
-        """Term-layout significant_text scan: the driver ships the
-        (already centralized) candidate set; each actor scans its OWN
-        term-dictionary slice — see :func:`_sig_text_scan`."""
-        return _sig_text_scan(self.readers.values(), self.tombstones,
-                              text_field, cand, max_terms)
 
     def comoments_local(self, field: str, q_terms: list[str], mode: str,
                         f1: str, f2: str) -> dict:
@@ -2566,23 +2525,23 @@ class PartActor:
 
 
 class Searcher:
-    """Driver-side coordinator: routes query terms to part actors,
-    gathers postings, scores with WAND (default) or TAAT."""
+    """Driver-side coordinator.  With actors (the default) it scatters
+    each query to the part actors under global idf and merges their
+    top-k; in process it gathers postings from every part and scores
+    on the driver with TAAT (OR) or vectorized AND."""
 
     def __init__(self, index_dir: str, use_actors: bool = True,
                  num_actors: int | None = None,
                  _readers: dict[int, "ShardReader"] | None = None):
         import json as _json
         import os as _os
-        import zlib as _zlib
+        from .shard import check_layout
         with open(_os.path.join(index_dir, "INDEX_MANIFEST.json")) as f:
             self.manifest = _json.load(f)
+        check_layout(self.manifest["config"])
         self.index_dir = index_dir
         self.P = int(self.manifest["config"]["num_partitions"])
         self.stats = self.manifest["stats"]
-        self._crc = _zlib.crc32
-        self._partition_by = self.manifest["config"].get(
-            "partition_by", "term")
         # per-query global-idf injection for doc-sharded execution
         # (dfs_query_then_fetch round 2 — see _exec_doc_sharded)
         self._idf_overrides: dict[str, float] | None = None
@@ -2615,7 +2574,6 @@ class Searcher:
                 ranges[p % num_actors].append(p)
             self.actors = [PartActor.remote(index_dir, parts)
                            for parts in ranges]
-            self._actor_of_part = {p: p % num_actors for p in range(self.P)}
             # actors construct lazily on first call — force-warm the
             # pool so query latency never includes shard loading
             ray.get([a.ping.remote() for a in self.actors])
@@ -2660,55 +2618,27 @@ class Searcher:
     def _gather(self, field: str, terms: list[str]) -> dict[str, list[tuple]]:
         """Fetch raw postings rows for terms; a bounded per-searcher
         cache keeps hot terms' (large) blobs from re-shipping on every
-        query (reference parity: warm OpenSearch shard request cache)."""
+        query (reference parity: warm OpenSearch shard request cache).
+        A term's postings are sliced across EVERY doc shard — broadcast
+        the request and merge run lists (merge_postings/_PhraseTerm
+        re-sort, so run order across shards doesn't matter).  Prefer
+        the doc-sharded query methods at scale; this gather serves the
+        methods that score on the driver."""
         cache = self._rows_cache
         missing = [t for t in dict.fromkeys(terms) if (field, t) not in cache]
         rows: dict[str, list[tuple]] = {}
-        if self._partition_by == "doc":
-            # doc-partitioned layout: a term's postings are sliced
-            # across EVERY shard — broadcast the request and merge run
-            # lists (merge_postings/_PhraseTerm re-sort, so run order
-            # across shards doesn't matter).  Prefer the doc-sharded
-            # query methods at scale; this gather keeps the whole DSL
-            # *correct* on doc indexes.
-            if missing:
-                if self.use_actors:
-                    for d in ray.get([a.get_terms_all.remote(field, missing)
-                                      for a in self.actors]):
-                        for t, r in d.items():
-                            rows.setdefault(t, []).extend(r)
-                else:
-                    for r in self.readers.values():
-                        for t in missing:
-                            got = r.raw_rows(field, t)
-                            if got:
-                                rows.setdefault(t, []).extend(got)
-            for t in missing:
-                if len(cache) < 4096:
-                    cache[(field, t)] = rows.get(t, [])
-            for t in dict.fromkeys(terms):
-                hit = cache.get((field, t))
-                if hit:
-                    rows[t] = hit
-            return rows
-        by_part: dict[int, list[str]] = {}
-        for t in missing:
-            p = self._crc(f"{field}\x1f{t}".encode()) % self.P
-            by_part.setdefault(p, []).append(t)
-        if self.use_actors:
-            by_actor: dict[int, dict[int, list[str]]] = {}
-            for p, ts in by_part.items():
-                by_actor.setdefault(self._actor_of_part[p], {})[p] = ts
-            futs = [self.actors[a].get_terms.remote(field, tbp)
-                    for a, tbp in by_actor.items()]
-            for d in ray.get(futs):
-                rows.update(d)
-        else:
-            for p, ts in by_part.items():
-                for t in ts:
-                    r = self.readers[p].raw_rows(field, t)
-                    if r:
-                        rows[t] = r
+        if missing:
+            if self.use_actors:
+                for d in ray.get([a.get_terms_all.remote(field, missing)
+                                  for a in self.actors]):
+                    for t, r in d.items():
+                        rows.setdefault(t, []).extend(r)
+            else:
+                for r in self.readers.values():
+                    for t in missing:
+                        got = r.raw_rows(field, t)
+                        if got:
+                            rows.setdefault(t, []).extend(got)
         for t in missing:
             if len(cache) < 4096:
                 cache[(field, t)] = rows.get(t, [])
@@ -2751,19 +2681,20 @@ class Searcher:
                search_after: tuple[float, int] | None = None,
                k1: float = K1, b: float = B) -> list[tuple[float, int]]:
         """``method='auto'`` picks the execution strategy per query:
-        vectorized intersection for AND, block-max WAND when the
-        candidate postings are selective enough for skipping to pay off,
-        vectorized TAAT otherwise (all three are exact-identical;
-        tested).  ``search_after=(score, doc_id)`` — the previous
-        page's last hit — resumes the ranking strictly after the
-        cursor (OpenSearch search_after parity: deep paging without
-        accumulating offset cost)."""
-        if self._partition_by == "doc" and self._local_parts is None \
-                and self.use_actors and self._idf_overrides is None:
-            # doc-partitioned index: per-shard scoring is the default
-            # (scale-safe — postings never leave their shard); the
-            # driver-gather path below still serves term-partitioned
-            # indexes and shard-local execution
+        vectorized intersection for AND, vectorized TAAT for OR.
+        ``method='wand'`` (block-max WAND) stays available as an
+        explicit choice; all three are exact-identical (tested).
+        With actors the query scatters to the doc shards under
+        global idf (:meth:`_exec_doc_sharded`); in process the
+        driver gathers postings and scores them.
+        ``search_after=(score, doc_id)`` — the previous page's last
+        hit — resumes the ranking strictly after the cursor (OpenSearch
+        search_after parity: deep paging without accumulating offset
+        cost)."""
+        if self.use_actors and self._idf_overrides is None:
+            # per-shard scoring is the default (scale-safe — postings
+            # never leave their shard); the driver-gather path below
+            # serves in-process and shard-local execution
             an = self._analyzer_for(field, analyzer)
             toks = ANALYZERS[an](query)
             if not toks:
@@ -2926,9 +2857,8 @@ class Searcher:
             # phrase: BM25-weighted (phrase_search_scored's Lucene
             # PhraseQuery shape); phrase_prefix ranks by phrase_tf
             # (the engine's match_phrase_prefix contract).  Exactness
-            # needs FULL per-field phrase sets, and the phrase
-            # machinery already gathers/decodes per layout, so this
-            # path serves both layouts unchanged.
+            # needs FULL per-field phrase sets, which the phrase
+            # machinery gathers and decodes itself.
             per_doc: dict[int, list[float]] = {}
             for spec in fields:
                 name, _, boost_s = spec.partition("^")
@@ -2950,11 +2880,10 @@ class Searcher:
                     (float(mx + tie_breaker * (sum(ss) - mx)), d))
             combined.sort(key=lambda t: (-t[0], t[1]))
             return combined[:k]
-        if self._partition_by == "doc" and self._local_parts is None \
-                and self.use_actors and _idf_by_field is None \
+        if self.use_actors and _idf_by_field is None \
                 and self._idf_overrides is None:
-            # doc-partitioned index: auto-route to per-shard execution
-            # (same contract as search())
+            # auto-route to per-shard execution (same contract as
+            # search())
             return self.multi_match_sharded(
                 query, fields, k=k, match_type=match_type,
                 tie_breaker=tie_breaker, analyzer=analyzer, k1=k1, b=b)
@@ -3177,12 +3106,11 @@ class Searcher:
         return out
 
     def _term_dfs(self, field: str, terms: list[str]) -> dict[str, int]:
-        """Global df per term (sums across parts — correct on both the
-        term-partitioned layout, where a term lives in one part plus
-        its salted copies, and the doc-partitioned one, where every
-        shard holds a slice).  Only (term, count) pairs travel, and a
-        bounded per-searcher cache makes repeat terms free (df is
-        immutable for a given index state — the same staleness
+        """Global df per term (sums across parts — every doc shard
+        holds a slice of the term's postings).  Only (term, count)
+        pairs travel, and a bounded per-searcher cache makes repeat
+        terms free (df is immutable for a given index state — the same
+        staleness
         contract as _rows_cache; OpenSearch likewise caches per-shard
         term statistics), so a warm doc-sharded query pays ONE scatter
         round, not two."""
@@ -3305,15 +3233,14 @@ class Searcher:
     def match_count(self, query: str, field: str = "content",
                     mode: str = "or", analyzer: str | None = None) -> int:
         """OpenSearch ``_count`` for a match query: the match-set size,
-        never the matches.  Doc layout with actors: per-shard local
+        never the matches.  With actors: per-shard local
         counts (one int per shard) summed here — match ids never leave
         their shard; otherwise one driver-side set-algebra pass."""
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
         q_terms = an(query)
         if not q_terms:
             return 0
-        if self._partition_by == "doc" and self._local_parts is None \
-                and self.use_actors:
+        if self.use_actors:
             return sum(ray.get([
                 a.exec_local.remote("_local_match_count",
                                     dict(field=field, q_terms=q_terms,
@@ -3407,8 +3334,8 @@ class Searcher:
         """OpenSearch ``rescore`` (score_mode=total): the primary
         query's GLOBAL top ``window_size`` hits are re-ranked by
         ``query_weight * primary + rescore_query_weight * secondary``,
-        where the secondary BM25 runs ONLY on the window docs.  On the
-        doc layout each shard scores the secondary for the window ids
+        where the secondary BM25 runs ONLY on the window docs.  With
+        actors each shard scores the secondary for the window ids
         against its own postings (global idf from one (term, df)
         round) — window ids travel, postings never do."""
         primary = self.search(query, field=field, k=window_size,
@@ -3421,8 +3348,7 @@ class Searcher:
         n_docs = int(self.stats["n_docs"])
         dfs = self._term_dfs(field, sec_terms) if sec_terms else {}
         idf = {t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in sec_terms}
-        if self._partition_by == "doc" and self._local_parts is None \
-                and self.use_actors:
+        if self.use_actors:
             parts = ray.get([
                 a.exec_local.remote(
                     "_rescore_local",
@@ -3517,8 +3443,7 @@ class Searcher:
         merges P*k (cosine, doc_id) rows.  Bucketed/ANN variants live
         in stages/knn.py (LSH, IVF) — this is the in-index exact
         path.  Requires an index built with vector_fields."""
-        if self._partition_by == "doc" and self._local_parts is None \
-                and self.use_actors:
+        if self.use_actors:
             q = np.asarray(query_vec, np.float64).tolist()
             shard_hits = ray.get([
                 a.exec_local.remote("knn_local",
@@ -3655,8 +3580,8 @@ class Searcher:
 
         The sort values come from the doc-range-partitioned range
         tables, which are value-sorted per part — so each part's local
-        top-k is a boundary bisect + two slices (no sort), and on the
-        doc layout each shard ships exactly k rows (``sort_local``).
+        top-k is a boundary bisect + two slices (no sort), and with
+        actors each shard ships exactly k rows (``sort_local``).
         Match-all (empty query, no filter) walks no postings at all.
         Docs missing the sort field are omitted.
 
@@ -3671,7 +3596,7 @@ class Searcher:
             q_terms = an(query)
             if not q_terms:
                 return []
-        if self.use_actors and self._partition_by == "doc":
+        if self.use_actors:
             locs = ray.get([
                 a.sort_local.remote(sort_field, k, desc, field, q_terms,
                                     mode, filter_field, filter_value,
@@ -3681,14 +3606,11 @@ class Searcher:
         else:
             cand: np.ndarray | None = None
             if q_terms is not None:
-                if self._partition_by == "doc":
-                    parts = [c for c in (
-                        _candidate_ids(r, field, q_terms, mode)
-                        for r in self.readers.values()) if c.size]
-                    cand = (np.sort(np.concatenate(parts)) if parts
-                            else np.zeros(0, np.uint64))
-                else:
-                    cand = self._match_ids(field, q_terms, mode)
+                parts = [c for c in (
+                    _candidate_ids(r, field, q_terms, mode)
+                    for r in self.readers.values()) if c.size]
+                cand = (np.sort(np.concatenate(parts)) if parts
+                        else np.zeros(0, np.uint64))
             if filter_field is not None:
                 f = self._filter_ids(filter_field, filter_value)
                 cand = f if cand is None else \
@@ -3745,8 +3667,8 @@ class Searcher:
                     min_term_freq, min_doc_freq, max_doc_freq,
                     minimum_should_match, analyzer
                     ) -> tuple[list[str], int, int | None]:
-        """MLT term selection (shared by the term-partitioned and
-        doc-sharded execution paths): analyze the liked input, rank
+        """MLT term selection (shared by the driver and doc-sharded
+        execution paths): analyze the liked input, rank
         candidate terms by tf * GLOBAL idf, keep the top
         max_query_terms -> (chosen terms, resolved msm, excluded id)."""
         if analyzer is None:
@@ -4064,7 +3986,7 @@ class Searcher:
 
         ``context_field``/``context_value`` is the category CONTEXT:
         suggestions ranked by df WITHIN docs carrying that keyword
-        value (OpenSearch context suggester).  On the doc layout each
+        value (OpenSearch context suggester).  With actors each
         shard intersects its own candidates' postings with its own
         filter part and ships (term, partial-count) pairs."""
         p = prefix.lower()
@@ -4088,10 +4010,8 @@ class Searcher:
                      context_field: str, context_value: str
                      ) -> dict[str, int]:
         """Per-term live doc count WITHIN a keyword context — the
-        context suggester's ranking weight.  Doc layout: shard-local
-        postings ∩ shard-local filter part, (term, count) pairs
-        travel.  Term layout: each term's postings live in one part;
-        the (global, doc-partitioned) filter ids probe them there."""
+        context suggester's ranking weight: shard-local postings ∩
+        the context filter ids, (term, count) pairs travel."""
         if not terms:
             return {}
         if self.use_actors:
@@ -4130,7 +4050,7 @@ class Searcher:
         (quantized) doc length, and each clause's BM25 contribution,
         summing exactly to what :meth:`search` scores (pytest-pinned).
         The terms gather through the same path as search, so the
-        explanation reflects the real index state (salted runs merged,
+        explanation reflects the real index state (runs merged,
         tombstones excluded, idf counting deletes until compaction)."""
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
@@ -4416,7 +4336,7 @@ class Searcher:
         order = np.argsort(ids)
         sorted_ids = ids[order]
         # value code per hit: -1 = field missing; codes index `values`
-        # (a value spans parts on multi-part layouts — one code per
+        # (a value spans parts on multi-part indexes — one code per
         # distinct value, not per (value, part) row)
         code_of = np.full(len(hits), -1, dtype=np.int64)
         values: list[str] = []
@@ -4847,11 +4767,10 @@ class Searcher:
         docstore — and, with ``k`` set, keeps a rolling merge
         truncated to the k smallest ids per part, so driver memory is
         O(k) no matter how dense the field (the scan itself is
-        O(field docs), the same doc-values walk OpenSearch does; on
-        the doc layout with an actor pool each shard ships only its
-        own first-k via :class:`PartActor.exists_local`)."""
-        if (self.manifest["config"].get("partition_by") == "doc"
-                and self.use_actors):
+        O(field docs), the same doc-values walk OpenSearch does; with
+        an actor pool each shard ships only its own first-k via
+        :class:`PartActor.exists_local`)."""
+        if self.use_actors:
             parts = ray.get([a.exists_local.remote(field_name, k)
                              for a in self.actors])
             ids = np.sort(np.concatenate(
@@ -4884,8 +4803,8 @@ class Searcher:
         OpenSearch-shaped: pinned docs get large synthetic scores
         decreasing with pin position (Lucene pins via
         Float.MAX_VALUE-derived constants); organic hits keep BM25.
-        The organic ranking auto-routes to the doc-sharded path on
-        doc layouts."""
+        The organic ranking auto-routes to the doc-sharded path with
+        actors."""
         from .docstore import fetch_docs
         uniq = list(dict.fromkeys(int(d) for d in pinned_ids))
         alive = set(fetch_docs(self.index_dir, uniq)
@@ -4908,9 +4827,9 @@ class Searcher:
     def _match_ids(self, field: str, q_terms: list[str],
                    mode: str) -> np.ndarray:
         """Sorted unique live doc ids matching the analyzed query terms
-        (union for ``or``, intersection for ``and``) on a
-        term-partitioned index — the shared candidate set behind the
-        full-match-set aggregations."""
+        (union for ``or``, intersection for ``and``), gathered from
+        every part to this searcher — the candidate set behind the
+        driver-side scored aggregations."""
         if _CTX_PURE and _CTX_FILTERS:
             # pure filter context — filters only (no term gather),
             # over this searcher's own parts (None = whole index)
@@ -4944,8 +4863,8 @@ class Searcher:
         """OpenSearch ``multi_terms`` aggregation: bucket the match set
         by the PAIR of two keyword fields' values (docs missing either
         field are skipped — multi_terms semantics, unlike a nested
-        terms agg which would emit a bucket per present field).  On the
-        default doc layout each shard ships only its per-pair partial
+        terms agg which would emit a bucket per present field).  Each
+        shard ships only its per-pair partial
         counts; the driver sums — doc ids never centralize.  Returns
         [(v_a, v_b, count)] sorted (count desc, v_a asc, v_b asc)."""
         fa, fb = agg_fields
@@ -4954,26 +4873,21 @@ class Searcher:
         if not q_terms:
             return []
         merged: dict[tuple[str, str], int] = {}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.multi_terms_local.remote(field, q_terms, mode, fa, fb)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(_multi_terms_partial(
-                        self.index_dir, fa, fb, cand, dparts=[p]))
-            for d in parts:
-                for kv, n in d.items():
-                    merged[kv] = merged.get(kv, 0) + n
+        if self.use_actors:
+            parts = ray.get([
+                a.multi_terms_local.remote(field, q_terms, mode, fa, fb)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            merged = _multi_terms_partial(self.index_dir, fa, fb, cand,
-                                          dparts=None)
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(_multi_terms_partial(
+                    self.index_dir, fa, fb, cand, dparts=[p]))
+        for d in parts:
+            for kv, n in d.items():
+                merged[kv] = merged.get(kv, 0) + n
         out = [(a_, b_, n) for (a_, b_), n in merged.items()]
         out.sort(key=lambda t: (-t[2], t[0], t[1]))
         return out
@@ -5119,8 +5033,7 @@ class Searcher:
         counting matching docs by haversine (arc) distance.  Geo points
         index as two numeric range fields (lat, lon) — the engine's
         geo_point encoding; docs missing either coordinate are skipped.
-        Doc layout ships len(ranges) ints per shard; term layout probes
-        the range tables driver-side.  Returns [(label, count)] in the
+        Each shard ships len(ranges) ints.  Returns [(label, count)] in the
         given ring order with OpenSearch's ``*-to`` / ``from-to`` /
         ``from-*`` key labels."""
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
@@ -5129,30 +5042,24 @@ class Searcher:
             return []
         olat, olon = float(origin[0]), float(origin[1])
         totals = [0] * len(ranges)
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.geo_distance_local.remote(field, q_terms, mode,
-                                                lat_field, lon_field,
-                                                olat, olon, ranges)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(_geo_distance_partial(
-                        self.index_dir, cand, lat_field, lon_field,
-                        olat, olon, ranges, dparts=[p]))
-            for row in parts:
-                for i, n in enumerate(row):
-                    totals[i] += n
+        if self.use_actors:
+            parts = ray.get([
+                a.geo_distance_local.remote(field, q_terms, mode,
+                                            lat_field, lon_field,
+                                            olat, olon, ranges)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            totals = _geo_distance_partial(self.index_dir, cand,
-                                           lat_field, lon_field,
-                                           olat, olon, ranges, dparts=None)
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(_geo_distance_partial(
+                    self.index_dir, cand, lat_field, lon_field,
+                    olat, olon, ranges, dparts=[p]))
+        for row in parts:
+            for i, n in enumerate(row):
+                totals[i] += n
         labels = [f"{'*' if lo is None else lo}-"
                   f"{'*' if hi is None else hi}" for lo, hi in ranges]
         return list(zip(labels, totals))
@@ -5171,9 +5078,8 @@ class Searcher:
         bucket matching docs into grid cells, counts per cell.  Geo
         points are the engine's two-numeric-field encoding; docs
         missing either coordinate are skipped.  Per-shard cell-count
-        partials on the doc layout (a cell dict per shard travels,
-        never coordinates); term layouts probe the range tables
-        driver-side.  Returns [(key, count)] sorted (count desc, key
+        partials (a cell dict per shard travels, never coordinates).
+        Returns [(key, count)] sorted (count desc, key
         asc), top ``size`` (None = all)."""
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
         q_terms = an(query)
@@ -5182,29 +5088,24 @@ class Searcher:
         part_fn = (_geotile_partial if scheme == "geotile"
                    else _geohash_partial)
         merged: dict[str, int] = {}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.geotile_local.remote(field, q_terms, mode,
-                                           lat_field, lon_field, precision,
-                                           scheme)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(part_fn(
-                        self.index_dir, cand, lat_field, lon_field,
-                        precision, dparts=[p]))
-            for d in parts:
-                for k, n in d.items():
-                    merged[k] = merged.get(k, 0) + n
+        if self.use_actors:
+            parts = ray.get([
+                a.geotile_local.remote(field, q_terms, mode,
+                                       lat_field, lon_field, precision,
+                                       scheme)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            merged = part_fn(self.index_dir, cand, lat_field,
-                             lon_field, precision, dparts=None)
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(part_fn(
+                    self.index_dir, cand, lat_field, lon_field,
+                    precision, dparts=[p]))
+        for d in parts:
+            for k, n in d.items():
+                merged[k] = merged.get(k, 0) + n
         out = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
         return out if size is None else out[:size]
 
@@ -5244,29 +5145,23 @@ class Searcher:
         if not q_terms:
             return {"count": 0, "state": 0.0, "value": None}
         n_tot, s_tot = 0, 0.0
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.scripted_local.remote(field, q_terms, mode,
-                                            tuple(fields), map_expr)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(_scripted_partial(
-                        self.index_dir, cand, tuple(fields), map_expr,
-                        dparts=[p]))
-            for n, s in parts:
-                n_tot += n
-                s_tot += s
+        if self.use_actors:
+            parts = ray.get([
+                a.scripted_local.remote(field, q_terms, mode,
+                                        tuple(fields), map_expr)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            n_tot, s_tot = _scripted_partial(self.index_dir, cand,
-                                             tuple(fields), map_expr,
-                                             dparts=None)
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(_scripted_partial(
+                    self.index_dir, cand, tuple(fields), map_expr,
+                    dparts=[p]))
+        for n, s in parts:
+            n_tot += n
+            s_tot += s
         if n_tot == 0:
             return {"count": 0, "state": 0.0, "value": None}
         value = float(reduce_fn({"state": s_tot, "count": float(n_tot)}))
@@ -5287,25 +5182,20 @@ class Searcher:
         q_terms = an(query)
         if not q_terms:
             return {"count": 0}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.string_stats_local.remote(field, q_terms, mode,
-                                                agg_field)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(_string_stats_partial(
-                        self.index_dir, agg_field, cand, dparts=[p]))
-            tot = _merge_string_stats(parts)
+        if self.use_actors:
+            parts = ray.get([
+                a.string_stats_local.remote(field, q_terms, mode,
+                                            agg_field)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            tot = _string_stats_partial(self.index_dir, agg_field, cand,
-                                        dparts=None)
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(_string_stats_partial(
+                    self.index_dir, agg_field, cand, dparts=[p]))
+        tot = _merge_string_stats(parts)
         if not tot["n"]:
             return {"count": 0}
         counts = np.array([tot["chars"][ch]
@@ -5333,26 +5223,21 @@ class Searcher:
         q_terms = an(query)
         if not q_terms:
             return {"count": 0}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.geo_bounds_local.remote(field, q_terms, mode,
-                                              lat_field, lon_field)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(_geo_bounds_partial(
-                        self.index_dir, cand, lat_field, lon_field,
-                        dparts=[p]))
-            tot = _merge_geo_bounds(parts)
+        if self.use_actors:
+            parts = ray.get([
+                a.geo_bounds_local.remote(field, q_terms, mode,
+                                          lat_field, lon_field)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            tot = _geo_bounds_partial(self.index_dir, cand, lat_field,
-                                      lon_field, dparts=None)
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(_geo_bounds_partial(
+                    self.index_dir, cand, lat_field, lon_field,
+                    dparts=[p]))
+        tot = _merge_geo_bounds(parts)
         if not tot.get("n"):
             return {"count": 0}
         return {"count": tot["n"],
@@ -5366,16 +5251,13 @@ class Searcher:
                             analyzer: str | None = None) -> dict:
         """OpenSearch ``boxplot``: min / q1 / q2 / q3 / max of a
         numeric field over the match set.  Lowered onto the exact
-        stats machinery — on the default doc layout the quantiles run
-        ``exact_distributed`` (count-probe bisection; no value leaves
-        its shard), which is EXACT where OpenSearch's TDigest boxplot
-        is approximate.  Returns {count, min, max, q1, q2, q3}."""
-        method = ("exact_distributed"
-                  if self.manifest["config"].get("partition_by") == "doc"
-                  else "exact")
+        stats machinery — the quantiles run ``exact_distributed``
+        (count-probe bisection; no value leaves its shard), which is
+        EXACT where OpenSearch's TDigest boxplot is approximate.
+        Returns {count, min, max, q1, q2, q3}."""
         st = self.stats_aggregation(query, range_field, field, mode,
                                     quantiles=(0.25, 0.5, 0.75),
-                                    quantile_method=method,
+                                    quantile_method="exact_distributed",
                                     analyzer=analyzer)
         if not st.get("count"):
             return {"count": 0}
@@ -5392,7 +5274,7 @@ class Searcher:
         approximately (streaming nearest-centroid with a shard-level
         cache), this engine defines the ``buckets`` clusters as the
         EQUAL-FREQUENCY (ntile) partition of the sorted matched
-        values — reproducible across runs and layouts, SQL-twinnable,
+        values — reproducible across runs and shard counts, SQL-twinnable,
         and distribution-adaptive like the original's intent (narrow
         buckets where values crowd, wide where they spread).  Per
         cluster: ``key`` (centroid = sum/count, OpenSearch's bucket
@@ -5406,44 +5288,13 @@ class Searcher:
         values above rank r that equal v_r are interchangeable with
         the ones below, so rank-range sums are well-defined even when
         ties straddle a boundary).  No matched value ever leaves its
-        shard on the doc layout."""
+        shard."""
         if buckets < 1:
             raise ValueError("variable_width_histogram: buckets >= 1")
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
         q_terms = an(query)
         if not q_terms:
             return []
-        if self.manifest["config"].get("partition_by") != "doc":
-            # term layout: the matched-value pull is driver-local
-            # anyway (quantile_method='exact' stance) — sort once and
-            # slice the ntile ranges directly
-            cand = self._match_ids(field, q_terms, mode)
-            if cand.size == 0:
-                return []
-            from .shard import load_range_pairs
-            matched = []
-            for vals, ids in load_range_pairs(self.index_dir, range_field):
-                pos = np.minimum(np.searchsorted(cand, ids),
-                                 cand.size - 1)
-                hit = cand[pos] == ids
-                if hit.any():
-                    matched.append(vals[hit])
-            if not matched:
-                return []
-            v = np.sort(np.concatenate(matched))
-            b = min(int(buckets), v.size)
-            base, extra = divmod(v.size, b)
-            out: list[dict] = []
-            pos = 0
-            for k in range(b):
-                sz = base + (1 if k < extra else 0)
-                chunk = v[pos:pos + sz]
-                pos += sz
-                s = float(chunk.sum())
-                out.append({"key": s / sz, "min": float(chunk[0]),
-                            "max": float(chunk[-1]),
-                            "doc_count": int(sz), "sum": s})
-            return out
         if self.use_actors:
             def count_le(probes: list[float]) -> np.ndarray:
                 rows = ray.get([
@@ -5535,11 +5386,9 @@ class Searcher:
         doc-count percentages.  This is a full-vocabulary scan (the
         expensive shape OpenSearch itself documents and recommends
         wrapping in a sampler); ``max_terms`` refuses unbounded
-        censuses.  On the doc layout each shard scans only its own
-        dictionary and ships (term → fg, df) partials; on the term
-        layout the centralized candidate set ships to the dictionary
-        owners.  Returns [(term, fg_count, score)] sorted (score desc,
-        term asc), top ``k``."""
+        censuses.  Each shard scans only its own dictionary and ships
+        (term → fg, df) partials.  Returns [(term, fg_count, score)]
+        sorted (score desc, term asc), top ``k``."""
         tf_field = text_field or field
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
         q_terms = an(query)
@@ -5547,41 +5396,24 @@ class Searcher:
             return []
         fg: dict[str, int] = {}
         df: dict[str, int] = {}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.sig_text_local.remote(field, q_terms, mode,
-                                            tf_field, max_terms)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    parts.append(_sig_text_partial(
-                        r, p, self.tombstones, field, q_terms, mode,
-                        tf_field, max_terms))
-            fg_total = 0
-            for f, d, n in parts:
-                fg_total += n
-                for t, x in f.items():
-                    fg[t] = fg.get(t, 0) + x
-                for t, x in d.items():
-                    df[t] = df.get(t, 0) + x
+        if self.use_actors:
+            parts = ray.get([
+                a.sig_text_local.remote(field, q_terms, mode,
+                                        tf_field, max_terms)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            fg_total = int(cand.size)
-            if self.use_actors:
-                parts2 = ray.get([
-                    a.sig_text_scan.remote(tf_field, cand, max_terms)
-                    for a in self.actors])
-            else:
-                parts2 = [_sig_text_scan(self.readers.values(),
-                                         self.tombstones, tf_field, cand,
-                                         max_terms)]
-            for f, d in parts2:
-                for t, x in f.items():
-                    fg[t] = fg.get(t, 0) + x
-                for t, x in d.items():
-                    df[t] = df.get(t, 0) + x
+            parts = []
+            for p, r in self.readers.items():
+                parts.append(_sig_text_partial(
+                    r, p, self.tombstones, field, q_terms, mode,
+                    tf_field, max_terms))
+        fg_total = 0
+        for f, d, n in parts:
+            fg_total += n
+            for t, x in f.items():
+                fg[t] = fg.get(t, 0) + x
+            for t, x in d.items():
+                df[t] = df.get(t, 0) + x
         if not fg or fg_total == 0:
             return []
         bg_total = float(int(self.stats["n_docs"]) - self.tombstones.size)
@@ -5629,52 +5461,23 @@ class Searcher:
         dfs = self._term_dfs(field, q_terms)
         idf = {t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in q_terms}
         merged: dict[str, int] = {}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.sampler_local.remote(field, q_terms, shard_size,
-                                           agg_field, diversify_field,
-                                           max_docs_per_value, idf,
-                                           n_docs, avgdl, k1, b)
-                    for a in self.actors])
-            else:
-                parts = [_sampler_partial(r, p, self.tombstones, field,
-                                          q_terms, shard_size, agg_field,
-                                          diversify_field,
-                                          max_docs_per_value, idf,
-                                          n_docs, avgdl, k1, b)
-                         for p, r in self.readers.items()]
-            for d in parts:
-                for v, n in d.items():
-                    merged[v] = merged.get(v, 0) + n
+        if self.use_actors:
+            parts = ray.get([
+                a.sampler_local.remote(field, q_terms, shard_size,
+                                       agg_field, diversify_field,
+                                       max_docs_per_value, idf,
+                                       n_docs, avgdl, k1, b)
+                for a in self.actors])
         else:
-            # term layout: one logical shard — the whole corpus
-            need = shard_size if diversify_field is None else (1 << 31)
-            self._idf_overrides = idf
-            try:
-                hits = self._expanded_or(q_terms, field, need, k1, b)
-            finally:
-                self._idf_overrides = None
-            if not hits:
-                return []
-            if diversify_field is None:
-                sample = np.sort(np.fromiter((d for _, d in hits),
-                                             np.uint64, count=len(hits)))
-            else:
-                ids = np.fromiter((d for _, d in hits), np.uint64,
-                                  count=len(hits))
-                order = np.argsort(ids)
-                code_sorted, _vals = _value_code_map(
-                    self.index_dir, diversify_field, ids[order],
-                    dparts=self._local_parts)
-                codes = np.empty(len(hits), dtype=np.int64)
-                codes[order] = code_sorted
-                sample = _greedy_diversified(hits, codes,
-                                             max_docs_per_value,
-                                             shard_size)
-            merged = dict(_count_filter_values(self.index_dir, agg_field,
-                                               sample,
-                                               dparts=self._local_parts))
+            parts = [_sampler_partial(r, p, self.tombstones, field,
+                                      q_terms, shard_size, agg_field,
+                                      diversify_field,
+                                      max_docs_per_value, idf,
+                                      n_docs, avgdl, k1, b)
+                     for p, r in self.readers.items()]
+        for d in parts:
+            for v, n in d.items():
+                merged[v] = merged.get(v, 0) + n
         return sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def terms_set_search(self, terms: list[str], field: str = "content",
@@ -5796,40 +5599,21 @@ class Searcher:
         if not q_terms:
             return []
         counts: dict[float, int] = {}
-        if self.manifest["config"].get("partition_by") == "doc":
-            # per-shard bucket partials, summed here — values and doc
-            # ids never leave their shard
-            if self.use_actors:
-                parts = ray.get([a.hist_local.remote(field, q_terms, mode,
-                                                     range_field, interval,
-                                                     offset)
-                                 for a in self.actors])
-            else:
-                parts = [dict(self._hist_one(r, p, field, q_terms, mode,
-                                             range_field, interval,
-                                             offset))
-                         for p, r in self.readers.items()]
-            for d in parts:
-                for bv, n in d.items():
-                    counts[bv] = counts.get(bv, 0) + n
-            return _hist_fill(sorted(counts.items()), interval,
-                              min_doc_count, offset, extended_bounds)
-        cand = self._match_ids(field, q_terms, mode)
-        if cand.size == 0 and extended_bounds is None:
-            return []
-        from .shard import load_range_pairs
-        if cand.size:
-            for vals, ids in load_range_pairs(self.index_dir, range_field):
-                pos = np.minimum(np.searchsorted(cand, ids),
-                                 cand.size - 1)
-                hit = cand[pos] == ids
-                if not hit.any():
-                    continue
-                buckets = (np.floor((vals[hit] - offset) / interval)
-                           * interval + offset)
-                u, c = np.unique(buckets, return_counts=True)
-                for bv, n in zip(u, c):
-                    counts[float(bv)] = counts.get(float(bv), 0) + int(n)
+        # per-shard bucket partials, summed here — values and doc
+        # ids never leave their shard
+        if self.use_actors:
+            parts = ray.get([a.hist_local.remote(field, q_terms, mode,
+                                                 range_field, interval,
+                                                 offset)
+                             for a in self.actors])
+        else:
+            parts = [dict(self._hist_one(r, p, field, q_terms, mode,
+                                         range_field, interval,
+                                         offset))
+                     for p, r in self.readers.items()]
+        for d in parts:
+            for bv, n in d.items():
+                counts[bv] = counts.get(bv, 0) + n
         return _hist_fill(sorted(counts.items()), interval,
                           min_doc_count, offset, extended_bounds)
 
@@ -5856,10 +5640,8 @@ class Searcher:
         oracle-checkable path); ``'tdigest'`` merges O(delta) centroid
         partials instead (the 100-TB path, and what the reference's
         OpenSearch percentiles agg actually does per shard);
-        ``'exact_distributed'`` (doc-sharded indexes) returns the same
-        bits as ``'exact'`` via count-probes — no value ever leaves
-        its shard (on term-partitioned indexes it degrades to
-        ``'exact'``, whose value pull is driver-local there anyway)."""
+        ``'exact_distributed'`` returns the same bits as ``'exact'``
+        via count-probes — no value ever leaves its shard."""
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
                              if f == field), "code")
@@ -5869,84 +5651,55 @@ class Searcher:
         qmode = ("none" if not quantiles else quantile_method)
         if qmode not in ("none", "exact", "tdigest", "exact_distributed"):
             raise ValueError(f"unknown quantile_method {quantile_method!r}")
-        if self.manifest["config"].get("partition_by") == "doc":
-            if qmode == "exact_distributed":
-                return self._stats_exact_distributed(
-                    field, q_terms, mode, range_field, quantiles)
-            # per-shard partials; values/digests ship only for quantiles
-            if self.use_actors:
-                parts = ray.get([
-                    a.stats_local.remote(field, q_terms, mode, range_field,
-                                         qmode)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    v = _shard_range_values(r, p, self.tombstones, field,
-                                            q_terms, mode, range_field)
-                    if not v.size:
-                        parts.append({"count": 0})
-                        continue
-                    d = {"count": int(v.size), "min": float(v.min()),
-                         "max": float(v.max()), "sum": float(v.sum()),
-                         "sum_sq": float(np.square(v).sum())}
-                    if qmode == "exact":
-                        d["values"] = v
-                    elif qmode == "tdigest":
-                        from ..stages.sketches import TDigest
-                        td = TDigest()
-                        td.add(v)
-                        d["digest"] = td.to_arrays()
-                    parts.append(d)
-            live = [d for d in parts if d["count"]]
-            if not live:
-                return {"count": 0}
-            out = {"count": sum(d["count"] for d in live),
-                   "min": min(d["min"] for d in live),
-                   "max": max(d["max"] for d in live),
-                   "sum": float(sum(d["sum"] for d in live)),
-                   "sum_sq": float(sum(d["sum_sq"] for d in live))}
-            out["avg"] = out["sum"] / out["count"]
-            _extend_stats(out)
-            if qmode == "exact":
-                v = np.concatenate([np.asarray(d["values"]) for d in live])
-                for q in quantiles:
-                    out[f"p{round(q * 100):02d}"] = float(np.quantile(v, q))
-            elif qmode == "tdigest":
-                from ..stages.sketches import TDigest
-                td = TDigest()
-                for d in live:
-                    td.merge(TDigest.from_arrays(*d["digest"]))
-                for q in quantiles:
-                    out[f"p{round(q * 100):02d}"] = td.quantile(q)
-            return out
-        cand = self._match_ids(field, q_terms, mode)
-        if cand.size == 0:
-            return {"count": 0}
-        from .shard import load_range_pairs
-        matched: list[np.ndarray] = []
-        for vals, ids in load_range_pairs(self.index_dir, range_field):
-            pos = np.minimum(np.searchsorted(cand, ids), cand.size - 1)
-            hit = cand[pos] == ids
-            if hit.any():
-                matched.append(vals[hit])
-        if not matched:
-            return {"count": 0}
-        v = np.concatenate(matched)
-        out = {"count": int(v.size), "min": float(v.min()),
-               "max": float(v.max()), "sum": float(v.sum()),
-               "sum_sq": float(np.square(v).sum()),
-               "avg": float(v.mean())}
-        _extend_stats(out)
-        if qmode == "tdigest":
-            from ..stages.sketches import TDigest
-            td = TDigest()
-            td.add(v)
-            for q in quantiles:
-                out[f"p{round(q * 100):02d}"] = td.quantile(q)
+        if qmode == "exact_distributed":
+            return self._stats_exact_distributed(
+                field, q_terms, mode, range_field, quantiles)
+        # per-shard partials; values/digests ship only for quantiles
+        if self.use_actors:
+            parts = ray.get([
+                a.stats_local.remote(field, q_terms, mode, range_field,
+                                     qmode)
+                for a in self.actors])
         else:
+            parts = []
+            for p, r in self.readers.items():
+                v = _shard_range_values(r, p, self.tombstones, field,
+                                        q_terms, mode, range_field)
+                if not v.size:
+                    parts.append({"count": 0})
+                    continue
+                d = {"count": int(v.size), "min": float(v.min()),
+                     "max": float(v.max()), "sum": float(v.sum()),
+                     "sum_sq": float(np.square(v).sum())}
+                if qmode == "exact":
+                    d["values"] = v
+                elif qmode == "tdigest":
+                    from ..stages.sketches import TDigest
+                    td = TDigest()
+                    td.add(v)
+                    d["digest"] = td.to_arrays()
+                parts.append(d)
+        live = [d for d in parts if d["count"]]
+        if not live:
+            return {"count": 0}
+        out = {"count": sum(d["count"] for d in live),
+               "min": min(d["min"] for d in live),
+               "max": max(d["max"] for d in live),
+               "sum": float(sum(d["sum"] for d in live)),
+               "sum_sq": float(sum(d["sum_sq"] for d in live))}
+        out["avg"] = out["sum"] / out["count"]
+        _extend_stats(out)
+        if qmode == "exact":
+            v = np.concatenate([np.asarray(d["values"]) for d in live])
             for q in quantiles:
                 out[f"p{round(q * 100):02d}"] = float(np.quantile(v, q))
+        elif qmode == "tdigest":
+            from ..stages.sketches import TDigest
+            td = TDigest()
+            for d in live:
+                td.merge(TDigest.from_arrays(*d["digest"]))
+            for q in quantiles:
+                out[f"p{round(q * 100):02d}"] = td.quantile(q)
         return out
 
     def percentile_ranks(self, query: str, range_field: str,
@@ -5966,39 +5719,21 @@ class Searcher:
             return []
         probes = [float(v) for v in values] + [math.inf]
         pr = np.asarray(probes, dtype=np.float64)
-        if self.manifest["config"].get("partition_by") == "doc":
-            # per-shard count-<= partials sum correctly: each doc's
-            # whole match decision is local to exactly one shard
-            if self.use_actors:
-                rows = ray.get([
-                    a.count_le_local.remote(field, list(q_terms), mode,
-                                            range_field, probes)
-                    for a in self.actors])
-                tot = np.sum(np.asarray(rows, dtype=np.int64), axis=0)
-            else:
-                tot = np.zeros(len(probes), dtype=np.int64)
-                for p, r in self.readers.items():
-                    v = _shard_range_values(r, p, self.tombstones, field,
-                                            q_terms, mode, range_field)
-                    if v.size:
-                        tot += np.searchsorted(np.sort(v), pr,
-                                               side="right")
+        # per-shard count-<= partials sum correctly: each doc's
+        # whole match decision is local to exactly one shard
+        if self.use_actors:
+            rows = ray.get([
+                a.count_le_local.remote(field, list(q_terms), mode,
+                                        range_field, probes)
+                for a in self.actors])
+            tot = np.sum(np.asarray(rows, dtype=np.int64), axis=0)
         else:
-            # term-partitioned: a part only sees the terms it owns, so
-            # per-part match sets overlap — compute the global match
-            # set once (driver-side, like stats_aggregation here) and
-            # probe the packed range tables
-            from .shard import load_range_pairs
-            cand = self._match_ids(field, q_terms, mode)
-            if cand.size == 0:
-                return []
             tot = np.zeros(len(probes), dtype=np.int64)
-            for vals, ids in load_range_pairs(self.index_dir, range_field):
-                pos = np.minimum(np.searchsorted(cand, ids),
-                                 cand.size - 1)
-                hit = cand[pos] == ids
-                if hit.any():
-                    tot += np.searchsorted(np.sort(vals[hit]), pr,
+            for p, r in self.readers.items():
+                v = _shard_range_values(r, p, self.tombstones, field,
+                                        q_terms, mode, range_field)
+                if v.size:
+                    tot += np.searchsorted(np.sort(v), pr,
                                            side="right")
         n = int(tot[-1])
         if n == 0:
@@ -6091,11 +5826,9 @@ class Searcher:
         it).  Presence comes from the packed filter postings for
         keyword fields (their doc lists ARE the field-exists index)
         and from the range-table ids for numeric fields (nulls never
-        enter either structure).  On the doc-partitioned layout both
-        counts are additive per shard (``presence_local`` — two ints
-        travel per shard group; no value census, no posting gather);
-        term layout computes the match set once driver-side and sums
-        the intersections without building the per-value dict."""
+        enter either structure).  Both counts are additive per shard
+        (``presence_local`` — two ints travel per shard group; no
+        value census, no posting gather)."""
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
                              if f == field), "code")
@@ -6104,33 +5837,26 @@ class Searcher:
             return (0, 0)
         is_range = agg_field in tuple(
             self.manifest["config"].get("range_fields") or ())
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                pairs = ray.get([
-                    a.presence_local.remote(field, q_terms, mode,
-                                            agg_field, is_range)
-                    for a in self.actors])
-            else:
-                pairs = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    if cand.size == 0:
-                        continue
-                    pairs.append((
-                        _count_presence(self.index_dir, agg_field, cand,
-                                        dparts=[p], is_range=is_range),
-                        int(cand.size)))
-            with_field = sum(w for w, _ in pairs)
-            total = sum(n for _, n in pairs)
-            return (int(with_field), int(total) - int(with_field))
-        cand = self._match_ids(field, q_terms, mode)
-        if cand.size == 0:
-            return (0, 0)
-        with_field = _count_presence(self.index_dir, agg_field, cand,
-                                     is_range=is_range)
-        return (int(with_field), int(cand.size) - int(with_field))
+        if self.use_actors:
+            pairs = ray.get([
+                a.presence_local.remote(field, q_terms, mode,
+                                        agg_field, is_range)
+                for a in self.actors])
+        else:
+            pairs = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                if cand.size == 0:
+                    continue
+                pairs.append((
+                    _count_presence(self.index_dir, agg_field, cand,
+                                    dparts=[p], is_range=is_range),
+                    int(cand.size)))
+        with_field = sum(w for w, _ in pairs)
+        total = sum(n for _, n in pairs)
+        return (int(with_field), int(total) - int(with_field))
 
     def mad_aggregation(self, query: str, range_field: str,
                         field: str = "content", mode: str = "or",
@@ -6141,7 +5867,7 @@ class Searcher:
         ``mad()`` parity: median(|x - median(x)|), both medians
         linearly interpolated).
 
-        On a doc-partitioned actor index this runs fully distributed:
+        With an actor pool this runs fully distributed:
         the median comes from the count-probe bisection
         (:meth:`_stats_exact_distributed`), then the deviation median
         bisects over shard-side TRANSFORMED values
@@ -6149,40 +5875,21 @@ class Searcher:
         same float arithmetic the driver-side reference uses, so the
         result is exact by construction; probing ``x <= fl(med+d)``
         instead would quantize at ulp(med)).  No matched value ever
-        leaves its shard.  Other layouts compute driver-side from the
-        gathered values (their value pull is driver-local anyway)."""
+        leaves its shard.  An in-process searcher computes from the
+        per-part values directly."""
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
         q_terms = an(query)
         if not q_terms:
             return None
-        distributed = (self.manifest["config"].get("partition_by") == "doc"
-                       and self.use_actors)
-        if not distributed:
-            if self.manifest["config"].get("partition_by") == "doc":
-                vs = [
-                    _shard_range_values(r, p, self.tombstones, field,
-                                        q_terms, mode, range_field)
-                    for p, r in self.readers.items()]
-                live = [x for x in vs if x.size]
-                if not live:
-                    return None
-                v = np.concatenate(live)
-            else:
-                from .shard import load_range_pairs
-                cand = self._match_ids(field, q_terms, mode)
-                if cand.size == 0:
-                    return None
-                got = []
-                for vals, ids in load_range_pairs(self.index_dir,
-                                                  range_field):
-                    pos = np.minimum(np.searchsorted(cand, ids),
-                                     cand.size - 1)
-                    hit = cand[pos] == ids
-                    if hit.any():
-                        got.append(vals[hit])
-                if not got:
-                    return None
-                v = np.concatenate(got)
+        if not self.use_actors:
+            vs = [
+                _shard_range_values(r, p, self.tombstones, field,
+                                    q_terms, mode, range_field)
+                for p, r in self.readers.items()]
+            live = [x for x in vs if x.size]
+            if not live:
+                return None
+            v = np.concatenate(live)
             return float(np.median(np.abs(v - np.median(v))))
         st = self._stats_exact_distributed(field, q_terms, mode,
                                            range_field, (0.5,))
@@ -6223,10 +5930,8 @@ class Searcher:
         per (from-inclusive, to-exclusive) bucket, the count of
         matching docs' ``range_field`` values (open ends via None;
         every requested bucket is returned, zeros included — range-agg
-        parity, unlike histogram's sparse buckets).  Doc-sharded
-        indexes sum per-shard bucket partials; term-partitioned ones
-        probe the doc-range-partitioned range tables against the
-        candidate set."""
+        parity, unlike histogram's sparse buckets).  Per-shard bucket
+        partials are summed here."""
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
                              if f == field), "code")
@@ -6234,32 +5939,19 @@ class Searcher:
         if not q_terms:
             return [(rg, 0) for rg in ranges]
         totals = [0] * len(ranges)
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([a.range_local.remote(field, q_terms, mode,
-                                                      range_field, ranges)
-                                 for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    v = _shard_range_values(r, p, self.tombstones, field,
-                                            q_terms, mode, range_field)
-                    parts.append(_range_bucket_counts(v, ranges)
-                                 if v.size else [0] * len(ranges))
-            for row in parts:
-                for i, n in enumerate(row):
-                    totals[i] += n
-            return list(zip(ranges, totals))
-        cand = self._match_ids(field, q_terms, mode)
-        if cand.size == 0:
-            return [(rg, 0) for rg in ranges]
-        from .shard import load_range_pairs
-        for vals, ids in load_range_pairs(self.index_dir, range_field):
-            pos = np.minimum(np.searchsorted(cand, ids), cand.size - 1)
-            hit = cand[pos] == ids
-            if not hit.any():
-                continue
-            for i, n in enumerate(_range_bucket_counts(vals[hit], ranges)):
+        if self.use_actors:
+            parts = ray.get([a.range_local.remote(field, q_terms, mode,
+                                                  range_field, ranges)
+                             for a in self.actors])
+        else:
+            parts = []
+            for p, r in self.readers.items():
+                v = _shard_range_values(r, p, self.tombstones, field,
+                                        q_terms, mode, range_field)
+                parts.append(_range_bucket_counts(v, ranges)
+                             if v.size else [0] * len(ranges))
+        for row in parts:
+            for i, n in enumerate(row):
                 totals[i] += n
         return list(zip(ranges, totals))
 
@@ -6373,7 +6065,7 @@ class Searcher:
         ``min_doc_count`` omitted (OpenSearch default 1).  Mixed
         families are filtered by ``is_ipv6`` (the OpenSearch
         parameter).  Execution reuses the terms-aggregation census
-        (per-shard (value, count) partials on doc layouts — the
+        (per-shard (value, count) partials — the
         distinct-ip census ships, never doc ids); masking and the
         bucket sum are a driver-side pass over distinct values."""
         import ipaddress
@@ -6400,9 +6092,7 @@ class Searcher:
     def _comoments_all(self, query: str, f1: str, f2: str, field: str,
                        mode: str, analyzer: str | None) -> dict:
         """Merged co-moments over the match set's docs having BOTH
-        numeric fields.  Doc layout: per-shard six-number partials
-        summed here; term layout: one driver-side alignment pass over
-        the doc-range-partitioned range tables."""
+        numeric fields: per-shard six-number partials summed here."""
         if analyzer is None:
             analyzer = next((a for f, _, a in
                              self.manifest["config"]["fields"]
@@ -6412,26 +6102,18 @@ class Searcher:
                 "sxx": 0.0, "syy": 0.0, "sxy": 0.0}
         if not q_terms:
             return zero
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([a.comoments_local.remote(
-                    field, list(q_terms), mode, f1, f2)
-                    for a in self.actors])
-            else:
-                parts = [_shard_comoments(r, p, self.tombstones, field,
-                                          q_terms, mode, f1, f2)
-                         for p, r in self.readers.items()]
-            for part in parts:
-                for k in zero:
-                    zero[k] += part[k]
-            return zero
-        cand = self._match_ids(field, q_terms, mode)
-        if cand.size == 0:
-            return zero
-        v1, h1, v2, h2 = _aligned_field_values(self.index_dir, cand,
-                                               (f1, f2), dparts=None)
-        m = h1 & h2
-        return _comoments(v1[m], v2[m])
+        if self.use_actors:
+            parts = ray.get([a.comoments_local.remote(
+                field, list(q_terms), mode, f1, f2)
+                for a in self.actors])
+        else:
+            parts = [_shard_comoments(r, p, self.tombstones, field,
+                                      q_terms, mode, f1, f2)
+                     for p, r in self.readers.items()]
+        for part in parts:
+            for k in zero:
+                zero[k] += part[k]
+        return zero
 
     def matrix_stats(self, query: str, fields: tuple[str, str],
                      field: str = "content", mode: str = "or",
@@ -6556,15 +6238,13 @@ class Searcher:
 
         ``other_bucket_key`` adds OpenSearch's ``other_bucket``: live
         docs matching NONE of the named filters, computed as
-        global-live minus the union of the match sets — per shard on
-        doc layouts (doc ranges are disjoint, so shard-local unions
-        sum exactly; one int per shard travels), one driver-side
-        union of the already-gathered id sets on term layouts."""
+        global-live minus the union of the match sets — per shard
+        (doc ranges are disjoint, so shard-local unions sum exactly;
+        one int per shard travels)."""
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
                              if f == field), "code")
         out: dict[str, int] = {}
-        doc_sharded = self.manifest["config"].get("partition_by") == "doc"
         specs = {name: ANALYZERS[analyzer](query)
                  for name, (query, _mode) in filters.items()}
         for name, (query, mode) in filters.items():
@@ -6572,39 +6252,30 @@ class Searcher:
             if not q_terms:
                 out[name] = 0
                 continue
-            if doc_sharded:
-                if self.use_actors:
-                    out[name] = sum(ray.get(
-                        [a.count_local.remote(field, q_terms, mode)
-                         for a in self.actors]))
-                else:
-                    n = 0
-                    for r in self.readers.values():
-                        cand = _candidate_ids(r, field, q_terms, mode)
-                        if cand.size and self.tombstones.size:
-                            cand = cand[_excl_mask(cand, self.tombstones)]
-                        n += int(cand.size)
-                    out[name] = n
+            if self.use_actors:
+                out[name] = sum(ray.get(
+                    [a.count_local.remote(field, q_terms, mode)
+                     for a in self.actors]))
             else:
-                out[name] = int(self._match_ids(field, q_terms, mode).size)
+                n = 0
+                for r in self.readers.values():
+                    cand = _candidate_ids(r, field, q_terms, mode)
+                    if cand.size and self.tombstones.size:
+                        cand = cand[_excl_mask(cand, self.tombstones)]
+                    n += int(cand.size)
+                out[name] = n
         if other_bucket_key is not None:
             live = [(list(specs[name]), mode)
                     for name, (_q, mode) in filters.items() if specs[name]]
             n_live = int(self.stats["n_docs"]) - int(self.tombstones.size)
-            if doc_sharded:
-                if self.use_actors:
-                    union = sum(ray.get(
-                        [a.filters_union_local.remote(field, live)
-                         for a in self.actors]))
-                else:
-                    union = sum(
-                        _filters_union_size(r, field, live, self.tombstones)
-                        for r in self.readers.values())
+            if self.use_actors:
+                union = sum(ray.get(
+                    [a.filters_union_local.remote(field, live)
+                     for a in self.actors]))
             else:
-                ids = [self._match_ids(field, t, m) for t, m in live]
-                ids = [x for x in ids if x.size]
-                union = int(np.unique(np.concatenate(ids)).size) \
-                    if ids else 0
+                union = sum(
+                    _filters_union_size(r, field, live, self.tombstones)
+                    for r in self.readers.values())
             out[other_bucket_key] = n_live - union
         return out
 
@@ -6613,10 +6284,9 @@ class Searcher:
                          analyzer: str | None = None) -> dict[str, int]:
         """OpenSearch ``adjacency_matrix``: one bucket per named filter
         plus one per pair intersection keyed ``"a&b"`` (names in given
-        order), zero buckets omitted.  Doc layout: per-shard
-        singles+pairs partials summed here (doc ranges are disjoint, so
-        shard-local intersections are exact); term layout: driver-side
-        sorted intersections of the match-id sets."""
+        order), zero buckets omitted.  Per-shard singles+pairs partials
+        are summed here (doc ranges are disjoint, so shard-local
+        intersections are exact)."""
         if analyzer is None:
             analyzer = next((a for f, _, a in
                              self.manifest["config"]["fields"]
@@ -6624,46 +6294,34 @@ class Searcher:
         specs = [(name, ANALYZERS[analyzer](query), mode)
                  for name, (query, mode) in filters.items()]
         specs = [(n, t, m) for n, t, m in specs if t]
-        if self.manifest["config"].get("partition_by") == "doc":
-            out: dict[str, int] = {}
-            if self.use_actors:
-                parts = ray.get([a.adjacency_local.remote(
-                    field, [(n, list(t), m) for n, t, m in specs])
-                    for a in self.actors])
-            else:
-                parts = []
-                for r in self.readers.values():
-                    cands = []
-                    for name, q_terms, mode in specs:
-                        cand = _candidate_ids(r, field, q_terms, mode)
-                        if cand.size and self.tombstones.size:
-                            cand = cand[_excl_mask(cand,
-                                                   self.tombstones)]
-                        cands.append((name, cand))
-                    d: dict[str, int] = {}
-                    for i, (a, ca) in enumerate(cands):
-                        if ca.size:
-                            d[a] = int(ca.size)
-                        for b, cb in cands[i + 1:]:
-                            n = int(np.intersect1d(
-                                ca, cb, assume_unique=True).size)
-                            if n:
-                                d[f"{a}&{b}"] = n
-                    parts.append(d)
-            for d in parts:
-                for k, n in d.items():
-                    out[k] = out.get(k, 0) + n
-            return out
-        cands = [(name, self._match_ids(field, q_terms, mode))
-                 for name, q_terms, mode in specs]
-        out = {}
-        for i, (a, ca) in enumerate(cands):
-            if ca.size:
-                out[a] = int(ca.size)
-            for b, cb in cands[i + 1:]:
-                n = int(np.intersect1d(ca, cb, assume_unique=True).size)
-                if n:
-                    out[f"{a}&{b}"] = n
+        out: dict[str, int] = {}
+        if self.use_actors:
+            parts = ray.get([a.adjacency_local.remote(
+                field, [(n, list(t), m) for n, t, m in specs])
+                for a in self.actors])
+        else:
+            parts = []
+            for r in self.readers.values():
+                cands = []
+                for name, q_terms, mode in specs:
+                    cand = _candidate_ids(r, field, q_terms, mode)
+                    if cand.size and self.tombstones.size:
+                        cand = cand[_excl_mask(cand,
+                                               self.tombstones)]
+                    cands.append((name, cand))
+                d: dict[str, int] = {}
+                for i, (a, ca) in enumerate(cands):
+                    if ca.size:
+                        d[a] = int(ca.size)
+                    for b, cb in cands[i + 1:]:
+                        n = int(np.intersect1d(
+                            ca, cb, assume_unique=True).size)
+                        if n:
+                            d[f"{a}&{b}"] = n
+                parts.append(d)
+        for d in parts:
+            for k, n in d.items():
+                out[k] = out.get(k, 0) + n
         return out
 
     # auto_date_histogram interval ladder, in seconds — the OpenSearch
@@ -6683,16 +6341,12 @@ class Searcher:
                             ) -> tuple[float, list[tuple[float, int]]]:
         """OpenSearch ``auto_date_histogram``: picks the smallest
         ladder interval whose aligned bucket count fits
-        ``target_buckets``, then runs the layout-aware histogram at
-        that interval.  Returns (interval_seconds, buckets).  The
-        min/max round is the exact-distributed stats partial (no value
-        ships on doc layouts)."""
+        ``target_buckets``, then runs the histogram at that interval.
+        Returns (interval_seconds, buckets).  The min/max round is the
+        exact-distributed stats partial (no value ships)."""
         st = self.stats_aggregation(query, date_field, field=field,
                                     mode=mode, quantiles=(),
-                                    quantile_method="exact_distributed"
-                                    if self.manifest["config"].get(
-                                        "partition_by") == "doc"
-                                    else "exact")
+                                    quantile_method="exact_distributed")
         if st.get("count", 0) == 0:
             return float(self.AUTO_HIST_LADDER[0]), []
         lo, hi = st["min"], st["max"]
@@ -6734,33 +6388,24 @@ class Searcher:
             if not q_terms:
                 return [], None
         counts: dict[tuple, int] = {}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([a.composite_local.remote(sources, field,
-                                                          q_terms, mode)
-                                 for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = None
-                    if q_terms is not None:
-                        cand = _candidate_ids(r, field, q_terms, mode)
-                        if cand.size and self.tombstones.size:
-                            cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(_composite_partial(
-                        self.index_dir, sources, cand, self.tombstones,
-                        dparts=[p]))
-            for d in parts:
-                for t, n in d.items():
-                    counts[t] = counts.get(t, 0) + n
+        if self.use_actors:
+            parts = ray.get([a.composite_local.remote(sources, field,
+                                                      q_terms, mode)
+                             for a in self.actors])
         else:
-            cand = None
-            if q_terms is not None:
-                cand = self._match_ids(field, q_terms, mode)
-                if cand.size == 0:
-                    return [], None
-            counts = _composite_partial(self.index_dir, sources, cand,
-                                        self.tombstones)
+            parts = []
+            for p, r in self.readers.items():
+                cand = None
+                if q_terms is not None:
+                    cand = _candidate_ids(r, field, q_terms, mode)
+                    if cand.size and self.tombstones.size:
+                        cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(_composite_partial(
+                    self.index_dir, sources, cand, self.tombstones,
+                    dparts=[p]))
+        for d in parts:
+            for t, n in d.items():
+                counts[t] = counts.get(t, 0) + n
         keys = sorted(counts)
         if after is not None:
             keys = [k for k in keys if k > tuple(after)]
@@ -7485,8 +7130,8 @@ class Searcher:
                            search_after: tuple[float, int] | None = None,
                            k1: float = K1, b: float = B
                            ) -> list[tuple[float, int]]:
-        """Scatter-gather execution over a doc-partitioned index
-        (IndexConfig(partition_by='doc')): round 1 collects per-shard df
+        """Scatter-gather execution over the doc-partitioned index:
+        round 1 collects per-shard df
         and sums it into global df; round 2 has every shard score its
         own docs with global idf/avgdl/N and return its local top-k;
         the driver merges P*k rows.  OpenSearch dfs_query_then_fetch
@@ -7494,9 +7139,6 @@ class Searcher:
         high-df term's postings never leave their shard, so query cost
         at the driver is O(P*k), independent of df (verdict round 1,
         item 4)."""
-        if self.manifest["config"].get("partition_by") != "doc":
-            raise ValueError("index is term-partitioned; build with "
-                             "IndexConfig(partition_by='doc')")
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
                              if f == field), "code")
@@ -7563,9 +7205,6 @@ class Searcher:
         ``idf`` / ``stats_override`` skips the dfs round — the
         cross-index federation channel (MultiSearcher computes them
         over the whole pattern)."""
-        if self._partition_by != "doc":
-            raise ValueError("doc-sharded execution needs an index built "
-                             "with IndexConfig(partition_by='doc')")
         if idf is None and idf_terms:
             uniq = list(dict.fromkeys(idf_terms))
             n_docs = int(self.stats["n_docs"])
@@ -7927,14 +7566,11 @@ class Searcher:
         distinct-value count of tuples — k*|values| driver traffic,
         never a posting) and the driver max-merges per value, then
         ranks the representatives.  Scoring uses global idf, so the
-        result is identical to the driver-side term-layout run."""
+        result is identical to the in-process driver run."""
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
         q_terms = an(query)
         if not q_terms:
             return []
-        if self._partition_by != "doc":
-            raise ValueError("doc-sharded execution needs an index built "
-                             "with IndexConfig(partition_by='doc')")
         kwargs = dict(query=query, collapse_field=collapse_field,
                       field=field, k=1 << 31, analyzer=analyzer,
                       k1=k1, b=b)
@@ -8147,44 +7783,36 @@ class Searcher:
         postings.  Returns [(value, count)] sorted (count desc, value
         asc), zero-count values omitted.
 
-        Scale note: like scored search on a term-partitioned index,
-        the candidate id set centralizes on the driver; on a
-        doc-partitioned index the same computation distributes as
-        per-shard partial counts + a driver sum (the filter parts are
-        already per doc range)."""
+        Scale note: the computation distributes as per-shard partial
+        counts + a driver sum (the filter parts are already per doc
+        range)."""
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
                              if f == field), "code")
         q_terms = ANALYZERS[analyzer](query)
         if not q_terms:
             return []
-        if self.manifest["config"].get("partition_by") == "doc":
-            # doc-sharded: per-shard partial counts, summed here —
-            # doc ids never leave their shard
-            counts: dict[str, int] = {}
-            if self.use_actors:
-                parts = ray.get([a.agg_local.remote(field, q_terms, mode,
-                                                    agg_field)
-                                 for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    if cand.size:
-                        parts.append(dict(_count_filter_values(
-                            self.index_dir, agg_field, cand, dparts=[p])))
-                    else:
-                        parts.append({})
-            for d in parts:
-                for v, n in d.items():
-                    counts[v] = counts.get(v, 0) + n
-            return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        cand = self._match_ids(field, q_terms, mode)
-        if cand.size == 0:
-            return []
-        counts = dict(_count_filter_values(self.index_dir, agg_field, cand))
+        # doc-sharded: per-shard partial counts, summed here —
+        # doc ids never leave their shard
+        counts: dict[str, int] = {}
+        if self.use_actors:
+            parts = ray.get([a.agg_local.remote(field, q_terms, mode,
+                                                agg_field)
+                             for a in self.actors])
+        else:
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                if cand.size:
+                    parts.append(dict(_count_filter_values(
+                        self.index_dir, agg_field, cand, dparts=[p])))
+                else:
+                    parts.append({})
+        for d in parts:
+            for v, n in d.items():
+                counts[v] = counts.get(v, 0) + n
         return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def terms_histogram_aggregation(self, query: str, agg_field: str,
@@ -8197,10 +7825,8 @@ class Searcher:
         dashboard area/line chart's split-series shape (OpenSearch:
         ``terms`` x ``date_histogram``, the reference's most common
         two-bucket panel).  Per (keyword value, bucket) count over the
-        full match set; doc-partitioned indexes merge per-shard bucket
-        dicts, term-partitioned ones probe the packed filter postings
-        + range tables driver-side.  Returns [(value, bucket, count)]
-        sorted (value, bucket)."""
+        full match set; per-shard bucket dicts merge here.  Returns
+        [(value, bucket, count)] sorted (value, bucket)."""
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
                              if f == field), "code")
@@ -8208,29 +7834,24 @@ class Searcher:
         if not q_terms:
             return []
         merged: dict[tuple[str, float], int] = {}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.terms_hist_local.remote(field, q_terms, mode,
-                                              agg_field, range_field,
-                                              interval)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(_terms_hist_partial(
-                        self.index_dir, agg_field, range_field, interval,
-                        cand, dparts=[p]))
-            for d in parts:
-                for k, n in d.items():
-                    merged[k] = merged.get(k, 0) + n
+        if self.use_actors:
+            parts = ray.get([
+                a.terms_hist_local.remote(field, q_terms, mode,
+                                          agg_field, range_field,
+                                          interval)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            merged = _terms_hist_partial(self.index_dir, agg_field,
-                                         range_field, interval, cand)
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(_terms_hist_partial(
+                    self.index_dir, agg_field, range_field, interval,
+                    cand, dparts=[p]))
+        for d in parts:
+            for k, n in d.items():
+                merged[k] = merged.get(k, 0) + n
         out = [(v, b, n) for (v, b), n in merged.items()]
         out.sort(key=lambda r: (r[0], r[1]))
         return out
@@ -8280,10 +7901,8 @@ class Searcher:
         """Terms aggregation with a stats SUB-aggregation (the
         OpenSearch dashboard's split-series shape: bucket the match
         set by a keyword field, then count/min/max/sum/avg a numeric
-        field per bucket).  On a doc-partitioned index each shard
-        ships only its per-bucket mergeable moments; on a
-        term-partitioned one the candidate set probes the packed
-        filter postings + range tables driver-side.  Returns
+        field per bucket).  Each shard ships only its per-bucket
+        mergeable moments.  Returns
         [(value, count, sum, min, max, avg)] sorted (count desc,
         value asc)."""
         if analyzer is None:
@@ -8293,31 +7912,26 @@ class Searcher:
         if not q_terms:
             return []
         merged: dict[str, tuple[int, float, float, float]] = {}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.group_stats_local.remote(field, q_terms, mode,
-                                               agg_field, range_field)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(_group_stats_partial(
-                        self.index_dir, agg_field, range_field, cand,
-                        dparts=[p]))
-            for d in parts:
-                for v, cur in d.items():
-                    prev = merged.get(v)
-                    merged[v] = cur if prev is None else (
-                        prev[0] + cur[0], prev[1] + cur[1],
-                        min(prev[2], cur[2]), max(prev[3], cur[3]))
+        if self.use_actors:
+            parts = ray.get([
+                a.group_stats_local.remote(field, q_terms, mode,
+                                           agg_field, range_field)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            merged = _group_stats_partial(self.index_dir, agg_field,
-                                          range_field, cand)
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(_group_stats_partial(
+                    self.index_dir, agg_field, range_field, cand,
+                    dparts=[p]))
+        for d in parts:
+            for v, cur in d.items():
+                prev = merged.get(v)
+                merged[v] = cur if prev is None else (
+                    prev[0] + cur[0], prev[1] + cur[1],
+                    min(prev[2], cur[2]), max(prev[3], cur[3]))
         out = [(v, n, s, lo, hi, s / n)
                for v, (n, s, lo, hi) in merged.items()]
         out.sort(key=lambda r: (-r[1], r[0]))
@@ -8357,9 +7971,8 @@ class Searcher:
         """histogram / date_histogram with a metric SUB-aggregation
         (the avg-over-time dashboard panel: bin the match set by one
         numeric field, then count/sum/min/max/avg a second numeric
-        field per bin).  On a doc-partitioned index each shard ships
-        only per-bin mergeable moments; term-partitioned probes the
-        range tables driver-side.  Returns [(bin_lo, count, sum, min,
+        field per bin).  Each shard ships only per-bin mergeable
+        moments.  Returns [(bin_lo, count, sum, min,
         max, avg)] sorted by bin."""
         if analyzer is None:
             analyzer = next((a for f, _, a in
@@ -8369,32 +7982,27 @@ class Searcher:
         if not q_terms:
             return []
         merged: dict[float, tuple[int, float, float, float]] = {}
-        if self.manifest["config"].get("partition_by") == "doc":
-            if self.use_actors:
-                parts = ray.get([
-                    a.hist_stats_local.remote(field, q_terms, mode,
-                                              bucket_field, interval,
-                                              metric_field)
-                    for a in self.actors])
-            else:
-                parts = []
-                for p, r in self.readers.items():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    parts.append(_hist_stats_partial(
-                        self.index_dir, bucket_field, interval,
-                        metric_field, cand, dparts=[p]))
-            for d in parts:
-                for k, cur in d.items():
-                    prev = merged.get(k)
-                    merged[k] = cur if prev is None else (
-                        prev[0] + cur[0], prev[1] + cur[1],
-                        min(prev[2], cur[2]), max(prev[3], cur[3]))
+        if self.use_actors:
+            parts = ray.get([
+                a.hist_stats_local.remote(field, q_terms, mode,
+                                          bucket_field, interval,
+                                          metric_field)
+                for a in self.actors])
         else:
-            cand = self._match_ids(field, q_terms, mode)
-            merged = _hist_stats_partial(self.index_dir, bucket_field,
-                                         interval, metric_field, cand)
+            parts = []
+            for p, r in self.readers.items():
+                cand = _candidate_ids(r, field, q_terms, mode)
+                if cand.size and self.tombstones.size:
+                    cand = cand[_excl_mask(cand, self.tombstones)]
+                parts.append(_hist_stats_partial(
+                    self.index_dir, bucket_field, interval,
+                    metric_field, cand, dparts=[p]))
+        for d in parts:
+            for k, cur in d.items():
+                prev = merged.get(k)
+                merged[k] = cur if prev is None else (
+                    prev[0] + cur[0], prev[1] + cur[1],
+                    min(prev[2], cur[2]), max(prev[3], cur[3]))
         return [(k, n, s, lo, hi, s / n)
                 for k, (n, s, lo, hi) in sorted(merged.items())]
 
@@ -8411,11 +8019,10 @@ class Searcher:
         (score desc, doc_id asc).  Returns [(value, [(score, doc_id)])]
         sorted by bucket doc count desc, value asc.
 
-        Scale note: on a doc-partitioned index this distributes as
-        per-shard (value, local top-k) partials merged at the driver —
-        the same shape as terms_aggregation; here the match set
-        centralizes like scored search on the term-partitioned
-        layout."""
+        Scale note: the match set's postings gather to the driver
+        and score there; per-shard (value, local top-k) partials
+        merged at the driver — the shape of terms_aggregation — would
+        distribute it."""
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
                              if f == field), "code")

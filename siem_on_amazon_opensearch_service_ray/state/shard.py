@@ -1,11 +1,13 @@
-"""Shard reader: loads one term-partition's segments and serves merged
+"""Shard reader: loads one doc partition's segments and serves merged
 posting lists.
 
-A *part* owns all terms with ``crc32(field:term) % P == part``; its
-directory holds one segment parquet per salt value (hot terms were
-split by ``doc_id % n_salts`` at build — pipelines.build_index).  The
-reader merges a term's salted runs into one canonical doc_id-sorted
-posting list at access time (score-identical by construction; tested).
+A *part* owns the postings of every document with ``doc_id % P ==
+part`` — a complete mini-index over its doc range.  Its directory holds
+the base build's ``seg-00.parquet`` plus one ``seg-00-g<fp8>.parquet``
+per ``extend_index`` generation (pipelines.build_index).  The reader
+merges a term's runs across those segments into one canonical
+doc_id-sorted posting list at access time (score-identical by
+construction; tested).
 
 This is the warm-shard state the reference holds inside OpenSearch data
 nodes — here it is the ``__init__``-loaded state of a Ray actor
@@ -24,6 +26,17 @@ from ..postings import (TermPostings, decode_postings, decode_skip,
                         merge_postings)
 from ..postings import encode_postings as _enc_postings
 from ..postings import varint_decode as _vdec
+
+
+def check_layout(config: dict) -> None:
+    """Refuse an index built with the retired term-partitioned layout
+    (postings routed by ``crc32(field:term) % P``): every reader and
+    writer here assumes doc partitions.  Rebuild such an index from
+    its source."""
+    if config.get("partition_by", "doc") != "doc":
+        raise ValueError(
+            "index was built with the term-partitioned layout, which is "
+            "no longer supported; rebuild it with build_index")
 
 
 def load_tombstones(index_dir: str) -> np.ndarray:

@@ -99,8 +99,7 @@ def get_mapping(index_dir: str) -> dict:
 def get_settings(index_dir: str) -> dict:
     """``GET /<index>/_settings`` — number_of_shards = the partition
     count, plus the engine-level build knobs OpenSearch would keep in
-    index settings (partition layout, positions/doclens/source
-    storage, salting)."""
+    index settings (positions/doclens/source storage)."""
     with open(os.path.join(index_dir, "INDEX_MANIFEST.json")) as f:
         man = json.load(f)
     cfg = man["config"]
@@ -108,10 +107,8 @@ def get_settings(index_dir: str) -> dict:
     return {name: {"settings": {"index": {
         "number_of_shards": int(cfg["num_partitions"]),
         "number_of_replicas": 0,
-        "partition_by": cfg.get("partition_by", "term"),
         "store_positions": bool(cfg.get("store_positions", False)),
         "store_doclens": bool(cfg.get("store_doclens", False)),
         "store_source": bool(cfg.get("store_source", False)),
-        "salting": bool(cfg.get("salting", False)),
         "uuid": man["fingerprint"],
     }}}}

@@ -84,8 +84,7 @@ def test_unicode_analyzer_indexable(ray_session, tmp_path):
                  "plain english words"],
     })
     cfg = IndexConfig(num_partitions=2, fields=(("text", "text", "unicode"),),
-                      keyword_fields=(), doc_id_col="doc_id", sha_col="text",
-                      salting=False)
+                      keyword_fields=(), doc_id_col="doc_id", sha_col="text")
     idx = str(tmp_path / "uidx")
     build_index(rd.from_arrow(docs), idx, cfg)
     s = Searcher(idx, use_actors=False)

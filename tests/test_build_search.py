@@ -12,10 +12,7 @@ from siem_on_amazon_opensearch_service_ray.pipelines.build_index import (
 from siem_on_amazon_opensearch_service_ray.pipelines.search import flat_bm25_topk
 from siem_on_amazon_opensearch_service_ray.state.searcher import Searcher
 
-# term layout pinned: this module exercises the term-partitioned path
-# (salting, per-term part placement); the library default is "doc"
-CFG = IndexConfig(num_partitions=4, sample_mod=1, hot_df_threshold=500,
-                  salt_unit=300, max_salts=4, partition_by="term")
+CFG = IndexConfig(num_partitions=4)
 
 # F2 query classes: rare term, hot term, multi-term, camelCase ident,
 # snake_case ident, zero-hit, matches-everything-ish
@@ -38,17 +35,21 @@ def built(ray_session, small_corpus, tmp_path_factory):
 
 
 def test_manifest_and_salting(built):
+    """No hot-term salting: 'def' is planted hot, yet every doc part
+    holds exactly one segment — a hot term splits across the doc parts
+    by construction."""
     _, index_dir, manifest = built
     assert manifest["stats"]["n_docs"] > 1000
     assert manifest["stats"]["avgdl"]["content"] > 10
-    # 'def' is planted hot: salting must have kicked in
-    assert manifest["metrics"]["hot_terms"] >= 1
-    parts = os.listdir(os.path.join(index_dir, "parts"))
+    parts = sorted(os.listdir(os.path.join(index_dir, "parts")))
     assert len(parts) == CFG.num_partitions
-    # at least one part has >1 segment (salted runs)
-    seg_counts = [len([s for s in os.listdir(os.path.join(index_dir, "parts", p))
-                       if s.endswith(".parquet")]) for p in parts]
-    assert max(seg_counts) > 1
+    for p in parts:
+        segs = [s for s in os.listdir(os.path.join(index_dir, "parts", p))
+                if s.endswith(".parquet")]
+        assert segs == ["seg-00.parquet"], (p, segs)
+    s = Searcher(index_dir, use_actors=False)
+    hot = [len(r.raw_rows("content", "def")) for r in s.readers.values()]
+    assert all(n == 1 for n in hot), hot
 
 
 def test_docstore_dedup_and_sha_invariant(built, small_corpus):
@@ -176,19 +177,6 @@ def test_wide_rows_indexed(built):
     assert res  # the planted wide docs contain padToken 250k times
 
 
-def test_salting_is_score_transparent(built, small_corpus, tmp_path_factory):
-    """Salted and unsalted indexes return identical top-k (salting
-    changes layout, never scores — SURVEY.md §7.5.3)."""
-    _, salted_dir, _ = built
-    plain_dir = str(tmp_path_factory.mktemp("plain") / "idx")
-    cfg = IndexConfig(num_partitions=4, salting=False)
-    build_index(small_corpus, plain_dir, cfg)
-    s_salt = Searcher(salted_dir, use_actors=False)
-    s_plain = Searcher(plain_dir, use_actors=False)
-    for q in ("def", "def return import", "needle_137"):
-        assert s_salt.search(q, k=15) == s_plain.search(q, k=15), q
-
-
 def test_partial_failure_resume(ray_session, small_corpus, tmp_path_factory):
     """Simulated mid-build crash: some segments + the top-level manifest
     are lost; a resumed build re-encodes ONLY the lost segments and
@@ -205,8 +193,7 @@ def test_partial_failure_resume(ray_session, small_corpus, tmp_path_factory):
         return h.hexdigest()
 
     idx = str(tmp_path_factory.mktemp("resume") / "idx")
-    cfg = IndexConfig(num_partitions=4, sample_mod=1, hot_df_threshold=500,
-                      salt_unit=300, max_salts=4)
+    cfg = IndexConfig(num_partitions=4)
     build_index(small_corpus, idx, cfg)
     full_hash = tree_hash(idx)
     # crash simulation: drop 2 segments, 1 docstore part, the manifest
@@ -254,7 +241,7 @@ def test_phrase_search(ray_session, small_corpus, tmp_path_factory):
         code_tokens_with_positions)
 
     idx = str(tmp_path_factory.mktemp("pos") / "idx")
-    cfg = IndexConfig(num_partitions=4, salting=False, store_positions=True)
+    cfg = IndexConfig(num_partitions=4, store_positions=True)
     build_index(small_corpus, idx, cfg)
     s = Searcher(idx, use_actors=False)
     phrase = "def return"
@@ -292,12 +279,11 @@ def test_rebuild_with_changed_config_purges_orphans(
     """Rebuilding into the same dir with a different config must not
     leave orphan segments from the old layout (they would be served)."""
     idx = str(tmp_path_factory.mktemp("orphan") / "idx")
-    cfg_a = IndexConfig(num_partitions=8, sample_mod=1, hot_df_threshold=500,
-                        salt_unit=300, max_salts=4)   # salted, 8 parts
+    cfg_a = IndexConfig(num_partitions=8)
     build_index(small_corpus, idx, cfg_a)
-    cfg_b = IndexConfig(num_partitions=4, salting=False)
+    cfg_b = IndexConfig(num_partitions=4)
     build_index(small_corpus, idx, cfg_b)
-    # no part dirs beyond P=4 may contain parquet, and no salted segs
+    # no part dirs beyond P=4 may contain parquet
     for p in os.listdir(os.path.join(idx, "parts")):
         part_no = int(p.split("-")[1])
         files = [f for f in os.listdir(os.path.join(idx, "parts", p))
@@ -317,9 +303,9 @@ def test_rebuild_with_changed_config_purges_orphans(
 
 def test_build_deterministic_across_concurrency(
         ray_session, small_corpus, tmp_path_factory):
-    """Same input, different tokenize concurrency -> byte-identical
-    output trees (the in-process twin of the bench's N-vs-4N
-    determinism hash)."""
+    """Same input, different tokenize batching (so different combiner
+    runs through the exchange) -> byte-identical output trees (the
+    in-process twin of the bench's N-vs-4N determinism hash)."""
     import hashlib
 
     def tree_hash(d):
@@ -333,54 +319,51 @@ def test_build_deterministic_across_concurrency(
         return h.hexdigest()
 
     hashes = []
-    for conc in (1, 3):
-        idx = str(tmp_path_factory.mktemp(f"det{conc}") / "idx")
-        cfg = IndexConfig(num_partitions=4, sample_mod=1, hot_df_threshold=500,
-                          salt_unit=300, max_salts=4,
-                          tokenize_concurrency=conc, tokenize_mode="actors")
+    for batch in (None, 97):
+        idx = str(tmp_path_factory.mktemp(f"det{batch}") / "idx")
+        cfg = IndexConfig(num_partitions=4, tokenize_batch_size=batch)
         build_index(small_corpus, idx, cfg)
-        # hash only layout-stable artifacts (manifest config differs by
-        # the concurrency field, which is intentional)
+        # hash only the parquet artifacts (JSON manifests carry paths
+        # and timings)
         hashes.append(tree_hash(idx))
     assert hashes[0] == hashes[1]
 
 
-def test_doc_sharded_rank_identity(built, small_corpus, tmp_path_factory):
-    """Doc-partitioned index + dfs_query_then_fetch scoring is
-    rank-AND-score identical to the term-partitioned path (global idf
-    makes per-doc scores equal; merge preserves the tie-break)."""
-    import dataclasses
-    _, term_dir, _ = built
-    doc_dir = str(tmp_path_factory.mktemp("docidx") / "idx")
-    cfg = dataclasses.replace(CFG, partition_by="doc")
-    build_index(small_corpus, doc_dir, cfg)
-    s_term = Searcher(term_dir, use_actors=False)
-    s_doc = Searcher(doc_dir, use_actors=False)
+def test_doc_sharded_rank_identity(built):
+    """dfs_query_then_fetch per-shard scoring (search_doc_sharded, in
+    process and on actors) is rank-AND-score identical to the driver
+    path that gathers every shard's postings (global idf makes per-doc
+    scores equal; the merge preserves the tie-break), and both match
+    the flat oracle."""
+    corpus, index_dir, _ = built
+    s_drv = Searcher(index_dir, use_actors=False)
     for q in QUERIES:
-        want = s_term.search(q, k=20)
-        got = s_doc.search_doc_sharded(q, k=20)
+        want = s_drv.search(q, k=20)
+        got = s_drv.search_doc_sharded(q, k=20)
         assert [d for _, d in got] == [d for _, d in want], q
         np.testing.assert_allclose([s for s, _ in got],
                                    [s for s, _ in want], rtol=1e-12)
+    stats = _index_stats_for(s_drv, "content", ["def", "return"])
+    flat = flat_bm25_topk(corpus, "def return", CFG, k=20,
+                          stats_override=stats).to_pandas()
+    assert [d for _, d in s_drv.search_doc_sharded("def return", k=20)] \
+        == flat["doc_id"].tolist()
     # AND mode + filter path
-    want = s_term.search("def needle_137", k=20, mode="and")
-    got = s_doc.search_doc_sharded("def needle_137", k=20, mode="and")
+    want = s_drv.search("def needle_137", k=20, mode="and")
+    got = s_drv.search_doc_sharded("def needle_137", k=20, mode="and")
     assert [d for _, d in got] == [d for _, d in want]
-    want = s_term.search("def", k=30, filter_field="lang", filter_value="go")
-    got = s_doc.search_doc_sharded("def", k=30, filter_field="lang",
+    want = s_drv.search("def", k=30, filter_field="lang", filter_value="go")
+    got = s_drv.search_doc_sharded("def", k=30, filter_field="lang",
                                    filter_value="go")
     assert [d for _, d in got] == [d for _, d in want]
     # actor path matches local path
-    s_act = Searcher(doc_dir, use_actors=True)
+    s_act = Searcher(index_dir, use_actors=True)
     try:
         for q in ("def return", "needle_137"):
             assert s_act.search_doc_sharded(q, k=10) == \
-                s_doc.search_doc_sharded(q, k=10)
+                s_drv.search_doc_sharded(q, k=10)
     finally:
         s_act.close()
-    # term-partitioned index must refuse the doc-sharded entry point
-    with pytest.raises(ValueError):
-        s_term.search_doc_sharded("def")
 
 
 def test_phrase_scored_ranking(ray_session, small_corpus, tmp_path_factory):
@@ -421,7 +404,7 @@ def test_sloppy_phrase(ray_session, tmp_path_factory):
     })
     cfg = IndexConfig(num_partitions=2, fields=(("text", "text", "base"),),
                       keyword_fields=(), doc_id_col="doc_id", sha_col="text",
-                      salting=False, store_positions=True)
+                      store_positions=True)
     idx = str(tmp_path_factory.mktemp("slop") / "idx")
     build_index(rd.from_arrow(docs), idx, cfg)
     s = Searcher(idx, use_actors=False)
@@ -459,7 +442,7 @@ def test_extend_index_incremental(ray_session, tmp_path_factory):
 
     cfg = IndexConfig(num_partitions=4, fields=(("text", "text", "base"),),
                       keyword_fields=("lang",), doc_id_col="doc_id",
-                      sha_col="text", salting=False)
+                      sha_col="text")
     import pyarrow.parquet as pq
     root = tmp_path_factory.mktemp("extend")
     base_dir = str(root / "idx")
@@ -537,8 +520,7 @@ def test_docstore_typed_meta(ray_session, tmp_path_factory):
         "lang": pa.array(["py", None, "go"], pa.string()),
     })
     cfg = IndexConfig(num_partitions=2, fields=(("text", "text", "base"),),
-                      keyword_fields=(), doc_id_col="doc_id", sha_col="text",
-                      salting=False)
+                      keyword_fields=(), doc_id_col="doc_id", sha_col="text")
     idx = str(tmp_path_factory.mktemp("typed") / "idx")
     build_index(rd.from_arrow(docs), idx, cfg)
     got = fetch_docs(idx, [1, 2, 3])
@@ -572,7 +554,7 @@ def test_compact_index_after_extend(ray_session, tmp_path_factory):
 
     cfg = IndexConfig(num_partitions=4, fields=(("text", "text", "base"),),
                       keyword_fields=("lang",), doc_id_col="doc_id",
-                      sha_col="text", salting=False, store_positions=True)
+                      sha_col="text", store_positions=True)
     root = tmp_path_factory.mktemp("compact")
     idx = str(root / "idx")
     src1, src2 = str(root / "g1.parquet"), str(root / "g2.parquet")
@@ -640,7 +622,7 @@ def test_delete_docs_and_upsert(ray_session, tmp_path_factory):
     })
     cfg = IndexConfig(num_partitions=4, fields=(("text", "text", "base"),),
                       keyword_fields=("lang",), doc_id_col="doc_id",
-                      sha_col="text", salting=False, store_positions=True)
+                      sha_col="text", store_positions=True)
     root = tmp_path_factory.mktemp("tomb")
     src1 = str(root / "g1.parquet")
     pq.write_table(docs, src1)
@@ -706,7 +688,7 @@ def test_range_query(ray_session, tmp_path_factory):
     })
     cfg = IndexConfig(num_partitions=4, fields=(("text", "text", "base"),),
                       keyword_fields=("lang",), range_fields=("stars", "score"),
-                      doc_id_col="doc_id", sha_col="text", salting=False)
+                      doc_id_col="doc_id", sha_col="text")
     idx = str(tmp_path_factory.mktemp("range") / "idx")
     build_index(rd.from_arrow(docs), idx, cfg)
     s = Searcher(idx, use_actors=False)
@@ -762,8 +744,7 @@ def test_docstore_complex_type_column(ray_session, tmp_path_factory):
         "tags": pa.array([["a", "b"], ["c"]], pa.list_(pa.string())),
     })
     cfg = IndexConfig(num_partitions=2, fields=(("text", "text", "base"),),
-                      keyword_fields=(), doc_id_col="doc_id", sha_col="text",
-                      salting=False)
+                      keyword_fields=(), doc_id_col="doc_id", sha_col="text")
     idx = str(tmp_path_factory.mktemp("cplx") / "idx")
     build_index(rd.from_arrow(docs), idx, cfg)       # must not raise
     got = fetch_docs(idx, [1])
@@ -780,8 +761,7 @@ def test_reextend_after_compaction_is_noop(ray_session, tmp_path_factory):
         compact_index, extend_index)
     root = tmp_path_factory.mktemp("reext")
     cfg = IndexConfig(num_partitions=2, fields=(("text", "text", "base"),),
-                      keyword_fields=(), doc_id_col="doc_id", sha_col="text",
-                      salting=False)
+                      keyword_fields=(), doc_id_col="doc_id", sha_col="text")
     src1, src2 = str(root / "a.parquet"), str(root / "b.parquet")
     pq.write_table(pa.table({"doc_id": pa.array(range(10), pa.int64()),
                              "text": ["alpha common"] * 10}), src1)
@@ -812,8 +792,7 @@ def test_extend_crash_debris_scrubbed(ray_session, tmp_path_factory):
         extend_index)
     root = tmp_path_factory.mktemp("debris")
     cfg = IndexConfig(num_partitions=2, fields=(("text", "text", "base"),),
-                      keyword_fields=(), doc_id_col="doc_id", sha_col="text",
-                      salting=False)
+                      keyword_fields=(), doc_id_col="doc_id", sha_col="text")
     src1, src2 = str(root / "a.parquet"), str(root / "b.parquet")
     pq.write_table(pa.table({"doc_id": pa.array(range(5), pa.int64()),
                              "text": ["alpha common"] * 5}), src1)
@@ -851,8 +830,7 @@ def test_compact_all_docs_deleted(ray_session, tmp_path_factory):
         compact_index, delete_docs)
     root = tmp_path_factory.mktemp("alltomb")
     cfg = IndexConfig(num_partitions=2, fields=(("text", "text", "base"),),
-                      keyword_fields=(), doc_id_col="doc_id", sha_col="text",
-                      salting=False)
+                      keyword_fields=(), doc_id_col="doc_id", sha_col="text")
     src1 = str(root / "a.parquet")
     pq.write_table(pa.table({"doc_id": pa.array(range(6), pa.int64()),
                              "text": ["alpha common"] * 6}), src1)
@@ -865,24 +843,34 @@ def test_compact_all_docs_deleted(ray_session, tmp_path_factory):
     assert s.search("common", field="text", k=10) == []
 
 
-def test_terms_aggregation_doc_sharded(built, small_corpus, tmp_path_factory):
-    """Doc-sharded terms aggregation (per-shard partial counts) equals
-    the term-partitioned driver-side aggregation, local and actor."""
-    import dataclasses
-    _, term_dir, _ = built
-    doc_dir = str(tmp_path_factory.mktemp("aggdoc") / "idx")
-    cfg = dataclasses.replace(CFG, partition_by="doc")
-    build_index(small_corpus, doc_dir, cfg)
-    s_term = Searcher(term_dir, use_actors=False)
-    s_doc = Searcher(doc_dir, use_actors=False)
+def test_terms_aggregation_doc_sharded(built):
+    """Per-shard terms aggregation (partial counts summed at the
+    driver) equals a count over the driver-gathered match set, in
+    process and on actors."""
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+
+    from siem_on_amazon_opensearch_service_ray.analysis import ANALYZERS
+    _, index_dir, _ = built
+    store = os.path.join(index_dir, "docstore")
+    lang_by_id = {}
+    for f in sorted(os.listdir(store)):
+        if f.endswith(".parquet"):
+            for r in pq.read_table(os.path.join(store, f),
+                                   columns=["doc_id", "lang"]).to_pylist():
+                lang_by_id[r["doc_id"]] = r["lang"]
+    s_drv = Searcher(index_dir, use_actors=False)
     for q, mode in (("def return", "or"), ("def needle_137", "and")):
-        want = s_term.terms_aggregation(q, "lang", mode=mode)
-        got = s_doc.terms_aggregation(q, "lang", mode=mode)
-        assert got == want, (q, mode)
-    s_act = Searcher(doc_dir, use_actors=True)
+        ids = s_drv._match_ids("content", ANALYZERS["code"](q), mode)
+        want = sorted(Counter(lang_by_id[int(d)] for d in ids).items(),
+                      key=lambda kv: (-kv[1], kv[0]))
+        got = s_drv.terms_aggregation(q, "lang", mode=mode)
+        assert got and got == want, (q, mode)
+    s_act = Searcher(index_dir, use_actors=True)
     try:
         assert s_act.terms_aggregation("def return", "lang") == \
-            s_doc.terms_aggregation("def return", "lang")
+            s_drv.terms_aggregation("def return", "lang")
     finally:
         s_act.close()
 
@@ -936,7 +924,7 @@ def test_range_only_filter_config(ray_session, tmp_path_factory):
         "text": [f"alpha beta w{i}" for i in range(8)],
         "size": pa.array([10 * i for i in range(8)], pa.int64()),
     }), src)
-    cfg = IndexConfig(num_partitions=2, sample_mod=1,
+    cfg = IndexConfig(num_partitions=2,
                       fields=(("text", "text", "code"),),
                       doc_id_col="doc_id", sha_col="text",
                       keyword_fields=(), range_fields=("size",))
@@ -947,135 +935,6 @@ def test_range_only_filter_config(ray_session, tmp_path_factory):
     got = s.search("alpha", field="text", k=10,
                    range_field="size", range_lo=20, range_hi=50)
     assert sorted(d for _, d in got) == [2, 3, 4, 5]
-
-
-def test_direct_shuffle_byte_identical(ray_session, small_corpus,
-                                       tmp_path_factory):
-    """shuffle_mode='direct' (manual hash exchange, no sort) produces
-    byte-identical trees to the sort path, its fingerprint matches
-    (execution-mode fields are excluded), and a resume started under
-    one mode skips everything under the other."""
-    import hashlib
-
-    def tree_hash(d):
-        h = hashlib.sha256()
-        for root, _, files in sorted(os.walk(d)):
-            for fn in sorted(files):
-                if fn.endswith(".parquet"):
-                    rel = os.path.relpath(os.path.join(root, fn), d)
-                    with open(os.path.join(root, fn), "rb") as f:
-                        h.update(rel.encode() + f.read())
-        return h.hexdigest()
-
-    base = dict(num_partitions=4, sample_mod=1, hot_df_threshold=500,
-                salt_unit=300, max_salts=4)
-    idx_sort = str(tmp_path_factory.mktemp("shsort") / "idx")
-    m_sort = build_index(small_corpus, idx_sort,
-                         IndexConfig(**base, shuffle_mode="sort"))
-    idx_dir = str(tmp_path_factory.mktemp("shdir") / "idx")
-    m_dir = build_index(small_corpus, idx_dir,
-                        IndexConfig(**base, shuffle_mode="direct"))
-    assert tree_hash(idx_sort) == tree_hash(idx_dir)
-    assert m_sort["fingerprint"] == m_dir["fingerprint"]
-    # cross-mode resume: drop the top-level manifest so PASS B actually
-    # walks segments (an intact manifest short-circuits the whole
-    # build) — the direct-mode pass must skip every sort-built segment
-    os.unlink(os.path.join(idx_sort, "INDEX_MANIFEST.json"))
-    m3 = build_index(small_corpus, idx_sort,
-                     IndexConfig(**base, shuffle_mode="direct"),
-                     resume=True)
-    assert m3["metrics"]["skipped_segments"] > 0
-    assert m3["metrics"]["n_segments"] == m3["metrics"]["skipped_segments"]
-    # the direct index answers queries identically
-    s_a = Searcher(idx_sort, use_actors=False)
-    s_b = Searcher(idx_dir, use_actors=False)
-    for q in ("def", "needle_137", "def return import"):
-        assert s_a.search(q, k=10) == s_b.search(q, k=10), q
-
-
-def test_extend_direct_mode_matches_sort(ray_session, tmp_path_factory):
-    """Generation ingest through the direct exchange produces the
-    same tree bytes as through the sort exchange (the gen suffix and
-    the combiner format are mode-independent)."""
-    import hashlib
-    import pyarrow as pa
-    import pyarrow.parquet as pq2
-    from siem_on_amazon_opensearch_service_ray.pipelines.build_index import (
-        extend_index)
-
-    def tree_hash(d):
-        h = hashlib.sha256()
-        for root_, _, files in sorted(os.walk(d)):
-            for fn in sorted(files):
-                if fn.endswith(".parquet"):
-                    rel = os.path.relpath(os.path.join(root_, fn), d)
-                    with open(os.path.join(root_, fn), "rb") as f:
-                        h.update(rel.encode() + f.read())
-        return h.hexdigest()
-
-    def corpus(lo, hi, tag):
-        return pa.table({
-            "doc_id": pa.array(range(lo, hi), pa.int64()),
-            "text": [f"{tag} gen token doc_{i}" for i in range(lo, hi)],
-            "lang": pa.array(["en"] * (hi - lo), pa.string()),
-        })
-
-    root = tmp_path_factory.mktemp("extdir")
-    # one shared corpus: the generation tag derives from the INPUT
-    # fingerprint (paths included), so per-mode copies would rename
-    # the gen-suffixed files and trivially break tree equality
-    s1 = str(root / "g1.parquet")
-    s2 = str(root / "g2.parquet")
-    pq2.write_table(corpus(0, 30, "one"), s1)
-    pq2.write_table(corpus(50, 75, "two"), s2)
-    hashes = []
-    for mode in ("sort", "direct"):
-        cfg = IndexConfig(num_partitions=4,
-                          fields=(("text", "text", "base"),),
-                          keyword_fields=("lang",), doc_id_col="doc_id",
-                          sha_col="text", salting=False,
-                          shuffle_mode=mode)
-        idx = str(root / f"idx_{mode}")
-        build_index([s1], idx, cfg)
-        m = extend_index([s2], idx, cfg)
-        assert m["stats"]["n_docs"] == 55
-        hashes.append(tree_hash(idx))
-    assert hashes[0] == hashes[1]
-
-
-def test_direct_shuffle_positional_and_source(ray_session, small_corpus,
-                                              tmp_path_factory):
-    """Direct-exchange byte-identity for the configs that add extra
-    exchange columns: positions (pos/plens blobs) and stored _source
-    (src) must slice per slot exactly like the core columns."""
-    import hashlib
-
-    def tree_hash(d):
-        h = hashlib.sha256()
-        for root, _, files in sorted(os.walk(d)):
-            for fn in sorted(files):
-                if fn.endswith(".parquet"):
-                    rel = os.path.relpath(os.path.join(root, fn), d)
-                    with open(os.path.join(root, fn), "rb") as f:
-                        h.update(rel.encode() + f.read())
-        return h.hexdigest()
-
-    root = tmp_path_factory.mktemp("dirpos")
-    for tag, extra in [("pos", dict(store_positions=True)),
-                       ("src", dict(store_source=True))]:
-        hashes = []
-        for mode in ("sort", "direct"):
-            idx = str(root / f"{tag}_{mode}")
-            build_index(small_corpus, idx,
-                        IndexConfig(num_partitions=4, salting=False,
-                                    shuffle_mode=mode, **extra))
-            hashes.append(tree_hash(idx))
-        assert hashes[0] == hashes[1], tag
-    # and the positional direct index answers phrase queries
-    s = Searcher(str(root / "pos_direct"), use_actors=False)
-    assert s.phrase_search("def return", k=5) == \
-        Searcher(str(root / "pos_sort"),
-                 use_actors=False).phrase_search("def return", k=5)
 
 
 def test_extend_order_independence(ray_session, tmp_path_factory):
@@ -1101,7 +960,7 @@ def test_extend_order_independence(ray_session, tmp_path_factory):
 
     cfg = IndexConfig(num_partitions=4, fields=(("text", "text", "base"),),
                       keyword_fields=("lang",), doc_id_col="doc_id",
-                      sha_col="text", salting=False)
+                      sha_col="text")
     root = tmp_path_factory.mktemp("extorder")
     srcs = {}
     for name, tbl in (("base", corpus(0, 30, "zero")),

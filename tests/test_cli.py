@@ -35,7 +35,7 @@ def cli_index(ray_session, tmp_path_factory):
     pq.write_table(t, str(corpus / "chunk-0.parquet"))
     idx = str(root / "idx")
     rc = main(["build", str(corpus), idx, "--partitions", "4",
-               "--positions", "--no-salting"])
+               "--positions"])
     assert rc == 0
     return idx, docs
 
@@ -189,8 +189,7 @@ def test_cli_agg_ip_and_date_range(ray_session, tmp_path, capsys):
                "--doc-id-col", "doc_id", "--sha-col", "content",
                "--text-field", "content:content:base",
                "--keyword-field", "ip", "--range-field", "ts_epoch",
-               "--range-field", "val", "--range-field", "wt",
-               "--no-salting"])
+               "--range-field", "val", "--range-field", "wt"])
     assert rc == 0
     capsys.readouterr()  # drain the build summary
     out = _run_json(capsys, [
@@ -254,7 +253,7 @@ def test_cli_multi_terms_sig_text_terms_set_geo(ray_session, tmp_path,
                "--text-field", "content:content:base",
                "--keyword-field", "lang", "--keyword-field", "repo",
                "--range-field", "msm", "--range-field", "lat",
-               "--range-field", "lon", "--no-salting"])
+               "--range-field", "lon"])
     assert rc == 0
     capsys.readouterr()  # drain the build summary
     out = _run_json(capsys, [
@@ -326,8 +325,7 @@ def test_cli_geotile(ray_session, tmp_path, capsys):
     assert main(["build", str(corpus), idx, "--partitions", "2",
                  "--doc-id-col", "doc_id", "--sha-col", "content",
                  "--text-field", "content:content:base",
-                 "--range-field", "lat", "--range-field", "lon",
-                 "--no-salting"]) == 0
+                 "--range-field", "lat", "--range-field", "lon"]) == 0
     capsys.readouterr()
     out = _run_json(capsys, [
         "agg", idx, "click", "--agg", "geotile",
@@ -356,7 +354,7 @@ def test_cli_geo_bounds_and_boxplot(ray_session, tmp_path, capsys):
                  "--doc-id-col", "doc_id", "--sha-col", "content",
                  "--text-field", "content:content:base",
                  "--range-field", "lat", "--range-field", "lon",
-                 "--range-field", "v", "--no-salting"]) == 0
+                 "--range-field", "v"]) == 0
     capsys.readouterr()
     out = _run_json(capsys, [
         "agg", idx, "click", "--agg", "geo_bounds",
@@ -389,8 +387,7 @@ def test_cli_string_stats_and_t_test(ray_session, tmp_path, capsys):
                  "--doc-id-col", "doc_id", "--sha-col", "content",
                  "--text-field", "content:content:base",
                  "--keyword-field", "src",
-                 "--range-field", "a", "--range-field", "b",
-                 "--no-salting"]) == 0
+                 "--range-field", "a", "--range-field", "b"]) == 0
     capsys.readouterr()
     out = _run_json(capsys, [
         "agg", idx, "click", "--agg", "string_stats",
@@ -431,8 +428,7 @@ def test_cli_scripted_metric(ray_session, tmp_path, capsys):
     assert main(["build", str(corpus), idx, "--partitions", "2",
                  "--doc-id-col", "doc_id", "--sha-col", "content",
                  "--text-field", "content:content:base",
-                 "--range-field", "a", "--range-field", "b",
-                 "--no-salting"]) == 0
+                 "--range-field", "a", "--range-field", "b"]) == 0
     capsys.readouterr()
     out = _run_json(capsys, [
         "agg", idx, "click", "--agg", "scripted",
@@ -459,7 +455,7 @@ def test_cli_script_score_and_distance_feature(ray_session, tmp_path,
     assert main(["build", str(corpus), idx, "--partitions", "2",
                  "--doc-id-col", "doc_id", "--sha-col", "content",
                  "--text-field", "content:content:base",
-                 "--range-field", "w", "--no-salting"]) == 0
+                 "--range-field", "w"]) == 0
     capsys.readouterr()
     out = _run_json(capsys, [
         "search", idx, "spark", "--type", "script-score",
@@ -492,7 +488,7 @@ def test_cli_rank_feature_exists_ids_pinned(ray_session, tmp_path,
     assert main(["build", str(corpus), idx, "--partitions", "2",
                  "--doc-id-col", "doc_id", "--sha-col", "content",
                  "--text-field", "content:content:base",
-                 "--range-field", "pop", "--no-salting"]) == 0
+                 "--range-field", "pop"]) == 0
     capsys.readouterr()
     out = _run_json(capsys, [
         "search", idx, "spark", "--type", "rank-feature",
@@ -544,8 +540,7 @@ def test_cli_bulk_and_delete_by_query(ray_session, tmp_path, capsys):
     corpus.mkdir()
     pq.write_table(t, str(corpus / "chunk-0.parquet"))
     idx = str(tmp_path / "idx")
-    assert main(["build", str(corpus), idx, "--partitions", "4",
-                 "--no-salting"]) == 0
+    assert main(["build", str(corpus), idx, "--partitions", "4"]) == 0
     capsys.readouterr()
     # this index derives content-addressed ids from (repo, path,
     # commit) — the bulk response reports the derived _id back
@@ -635,7 +630,7 @@ def test_cli_update_by_query(ray_session, tmp_path, capsys):
     rc = main(["build", str(corpus), idx, "--partitions", "2",
                "--doc-id-col", "doc_id", "--sha-col", "content",
                "--text-field", "content:content:base",
-               "--range-field", "val", "--no-salting",
+               "--range-field", "val",
                "--store-source"])
     assert rc == 0
     capsys.readouterr()
@@ -667,7 +662,7 @@ def test_cli_reindex(ray_session, tmp_path, capsys):
     assert main(["build", str(corpus), idx, "--partitions", "2",
                  "--doc-id-col", "doc_id", "--sha-col", "content",
                  "--text-field", "content:content:base",
-                 "--range-field", "val", "--no-salting",
+                 "--range-field", "val",
                  "--store-source"]) == 0
     capsys.readouterr()
     body = json.dumps({"source": {"query": {"match":

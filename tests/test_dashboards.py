@@ -1,9 +1,12 @@
-"""Saved-object ingestion (pipelines/dashboards.py): parse the
-reference's REAL ndjson exports, then execute supported panel shapes
-against a small fixture index."""
+"""Saved-object ingestion (pipelines/dashboards.py): parse ndjson
+exports in the reference's saved-object format (hand-written fixtures
+under tests/fixtures/saved_objects; the full reference corpus, when
+present, adds the whole-corpus coverage check), then execute
+supported panel shapes against a small fixture index."""
 
 import glob
 import json
+import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -15,8 +18,10 @@ from siem_on_amazon_opensearch_service_ray.pipelines.dashboards import (
     PanelSpec, execute_panel, parse_saved_objects)
 from siem_on_amazon_opensearch_service_ray.state.searcher import Searcher
 
-REF_SEARCHES = ("/root/reference/source/saved_objects/"
-                "each-indexpattern-search/cloudtrail.ndjson")
+SAVED_OBJECTS = os.path.join(os.path.dirname(__file__), "fixtures",
+                             "saved_objects")
+REF_SEARCHES = os.path.join(SAVED_OBJECTS, "each-indexpattern-search",
+                            "cloudtrail.ndjson")
 REF_DASHBOARDS = glob.glob(
     "/root/reference/source/saved_objects/each-dashboard/*.ndjson")
 
@@ -91,8 +96,7 @@ def panel_index(ray_session, tmp_path_factory):
     build_index([src], idx, IndexConfig(
         num_partitions=2, fields=(("content", "text", "base"),),
         keyword_fields=("event_name", "region"),
-        range_fields=("n_chars",), doc_id_col="doc_id", sha_col="text",
-        salting=False))
+        range_fields=("n_chars",), doc_id_col="doc_id", sha_col="text"))
     s = Searcher(idx, use_actors=False)
     yield s
     s.close()
@@ -329,14 +333,14 @@ def discover_index(ray_session, tmp_path_factory):
         num_partitions=2, fields=(("content", "text", "base"),),
         keyword_fields=("user.name", "@log_type"),
         range_fields=("@timestamp",), doc_id_col="doc_id",
-        sha_col="text", salting=False))
+        sha_col="text"))
     s = Searcher(idx, use_actors=False)
     yield s, t
     s.close()
 
 
-REF_THREAT_HUNTING = ("/root/reference/source/saved_objects/"
-                      "each-dashboard/threat_hunting.ndjson")
+REF_THREAT_HUNTING = os.path.join(SAVED_OBJECTS, "each-dashboard",
+                                  "threat_hunting.ndjson")
 
 
 def test_execute_reference_saved_search_verbatim(discover_index):
@@ -526,15 +530,10 @@ def test_execute_saved_search_with_pills(discover_index):
 
 
 def test_parse_reference_search_pills():
-    """The reference's saved searches with pills parse into context
-    specs (e.g. the OCSF/Security-Lake searches filter on phrase
-    pills)."""
-    import glob as _glob
+    """Saved searches with pills parse into context specs (e.g. the
+    OCSF/Security-Lake searches filter on phrase pills)."""
     n_with = 0
-    for f in _glob.glob("/root/reference/source/saved_objects/"
-                        "each-indexpattern-search/*.ndjson") + \
-            _glob.glob("/root/reference/source/saved_objects/"
-                       "each-dashboard/*.ndjson"):
+    for f in glob.glob(os.path.join(SAVED_OBJECTS, "*", "*.ndjson")):
         so = parse_saved_objects(open(f).read())
         for srch in so.searches:
             if srch.get("filters"):

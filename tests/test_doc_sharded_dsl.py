@@ -1,11 +1,13 @@
-"""Full query DSL on the doc-sharded layout: every *_sharded method
-(and the search() auto-route) must be rank-AND-score identical to the
-term-partitioned driver path — global idf via the dfs round makes
-per-doc scores equal, and doc shards are disjoint so the merged top-k
-is exact.  Reference parity: OpenSearch executes every query per doc
-shard (command_index.txt:8)."""
+"""Full query DSL on the doc-sharded index: every *_sharded method
+(and the search() auto-route) executed per shard on actors must be
+rank-AND-score identical to the in-process driver path over the same
+index, which gathers every shard's postings — global idf via the dfs
+round makes per-doc scores equal, and doc shards are disjoint so the
+merged top-k is exact.  Reference parity: OpenSearch executes every
+query per doc shard (command_index.txt:8)."""
 
-import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -14,24 +16,19 @@ from siem_on_amazon_opensearch_service_ray.pipelines.build_index import (
     IndexConfig, build_index)
 from siem_on_amazon_opensearch_service_ray.state.searcher import Searcher
 
-# term pinned so the term-vs-doc twin contrast below stays meaningful
-# now that "doc" is the library default
-CFG = IndexConfig(num_partitions=4, sample_mod=1, hot_df_threshold=500,
-                  salt_unit=300, max_salts=4, store_positions=True,
-                  store_source=True, partition_by="term")
+CFG = IndexConfig(num_partitions=4, store_positions=True, store_source=True)
 
 
 @pytest.fixture(scope="module")
 def pair(ray_session, small_corpus, tmp_path_factory):
-    term_dir = str(tmp_path_factory.mktemp("dsl_term") / "idx")
-    doc_dir = str(tmp_path_factory.mktemp("dsl_doc") / "idx")
-    build_index(small_corpus, term_dir, CFG)
-    build_index(small_corpus, doc_dir,
-                dataclasses.replace(CFG, partition_by="doc"))
-    s_term = Searcher(term_dir, use_actors=False)
-    s_doc = Searcher(doc_dir, use_actors=True)
-    yield s_term, s_doc
-    s_doc.close()
+    """(in-process driver searcher, actor-sharded searcher) over one
+    doc index."""
+    idx = str(tmp_path_factory.mktemp("dsl_doc") / "idx")
+    build_index(small_corpus, idx, CFG)
+    s_local = Searcher(idx, use_actors=False)
+    s_act = Searcher(idx, use_actors=True)
+    yield s_local, s_act
+    s_act.close()
 
 
 def _same(got, want, scores=True):
@@ -116,9 +113,9 @@ def test_query_string_sharded(pair):
 
 
 def test_search_auto_routes_doc_layout(pair):
-    """search() on a doc-partitioned index with actors takes the
-    per-shard path by default (no search_doc_sharded call needed) and
-    stays identical to the term-partitioned ranking."""
+    """search() with actors takes the per-shard path by default (no
+    search_doc_sharded call needed) and stays identical to the
+    in-process driver ranking."""
     st, sd = pair
     for q in ("def return", "needle_137", "zz_no_such_term_zz"):
         _same(sd.search(q, k=20), st.search(q, k=20))
@@ -127,15 +124,40 @@ def test_search_auto_routes_doc_layout(pair):
 
 
 def test_gather_correct_on_doc_layout(pair):
-    """The driver-gather methods (bool here) are also CORRECT on doc
-    layout without actors — _gather broadcasts instead of crc-routing."""
+    """The driver-gather methods (bool here) are also CORRECT on an
+    actor-backed searcher — _gather broadcasts to every shard actor
+    and merges their runs."""
     st, sd = pair
-    s_local = Searcher(sd.index_dir, use_actors=False)
     kw = dict(must=["def"], should=["return"], k=20)
-    _same(s_local.search_bool(**kw), st.search_bool(**kw))
+    _same(sd.search_bool(**kw), st.search_bool(**kw))
 
 
-def test_sharded_requires_doc_layout(pair):
+def test_sharded_requires_doc_layout(pair, tmp_path):
+    """An index whose manifest records the retired term-partitioned
+    layout is refused with a ValueError by Searcher, extend_index and
+    compact_index; an older doc-layout manifest that still carries the
+    retired layout/salting keys keeps opening."""
+    from siem_on_amazon_opensearch_service_ray.pipelines.build_index import (
+        compact_index, config_from_manifest, extend_index)
     st, _ = pair
-    with pytest.raises(ValueError):
-        st.search_bool_sharded(must=["def"])
+    with open(os.path.join(st.index_dir, "INDEX_MANIFEST.json")) as f:
+        man = json.load(f)
+    old_doc = dict(man["config"], partition_by="doc", salting=True,
+                   sample_mod=64, hot_df_threshold=20000, salt_unit=20000,
+                   max_salts=8, shuffle_mode="sort", tokenize_mode="tasks")
+    stale = str(tmp_path / "stale")
+    os.makedirs(stale)
+    for cfg, ok in ((old_doc, True),
+                    (dict(old_doc, partition_by="term"), False)):
+        with open(os.path.join(stale, "INDEX_MANIFEST.json"), "w") as f:
+            json.dump(dict(man, config=cfg), f)
+        if ok:
+            assert config_from_manifest(stale) == config_from_manifest(
+                st.index_dir)
+            continue
+        with pytest.raises(ValueError, match="term-partitioned"):
+            Searcher(stale, use_actors=False)
+        with pytest.raises(ValueError, match="term-partitioned"):
+            extend_index(str(tmp_path / "new"), stale)
+        with pytest.raises(ValueError, match="term-partitioned"):
+            compact_index(stale)

@@ -45,7 +45,7 @@ def dsl_s(ray_session, tmp_path_factory):
                       keyword_fields=("lang", "repo"),
                       range_fields=("msm", "lat", "lon"),
                       doc_id_col="doc_id", sha_col="text",
-                      store_positions=True, salting=False)
+                      store_positions=True)
     build_index([src], idx, cfg)
     s = Searcher(idx, use_actors=False)
     yield s
@@ -224,7 +224,7 @@ def hl_s(ray_session, tmp_path_factory):
                       fields=(("content", "text", "base"),),
                       keyword_fields=(), range_fields=(),
                       doc_id_col="doc_id", sha_col="text",
-                      store_source=True, salting=False)
+                      store_source=True)
     build_index([src], idx, cfg)
     s = Searcher(idx, use_actors=False)
     yield s
@@ -596,8 +596,7 @@ def test_field_sort_after_doc_sharded(dsl_s, tmp_path_factory):
     cfg = IndexConfig(num_partitions=4,
                       fields=(("content", "text", "base"),),
                       keyword_fields=(), range_fields=("msm",),
-                      doc_id_col="doc_id", sha_col="text",
-                      partition_by="doc", salting=False)
+                      doc_id_col="doc_id", sha_col="text")
     build_index([src], idx, cfg)
     s = Searcher(idx, use_actors=True)
     try:
@@ -641,8 +640,7 @@ def test_delete_by_query(ray_session, tmp_path_factory):
     cfg = IndexConfig(num_partitions=4,
                       fields=(("content", "text", "base"),),
                       keyword_fields=("lang",), range_fields=("age",),
-                      doc_id_col="doc_id", sha_col="text",
-                      partition_by="doc", salting=False)
+                      doc_id_col="doc_id", sha_col="text")
     build_index([src], idx, cfg)
     s = Searcher(idx, use_actors=True)
     try:
@@ -683,7 +681,7 @@ def test_delete_by_query(ray_session, tmp_path_factory):
                                                   {"age": {"gt": 3}}}})
     finally:
         s.close()
-    # the local (no-actor) layout sees the same final state and
+    # the local (no-actor) searcher sees the same final state and
     # supports the same surface
     s2 = Searcher(idx, use_actors=False)
     final = execute_count(s2, {})["count"]
@@ -741,8 +739,7 @@ def test_execute_bulk(ray_session, tmp_path_factory):
     cfg = IndexConfig(num_partitions=4,
                       fields=(("content", "text", "base"),),
                       keyword_fields=("lang",), range_fields=(),
-                      doc_id_col="doc_id", sha_col="text",
-                      partition_by="doc", salting=False)
+                      doc_id_col="doc_id", sha_col="text")
     build_index([src], idx, cfg)
     lines = [
         {"index": {"_id": 1000}},
@@ -909,8 +906,8 @@ def test_dsl_min_score(dsl_s):
 
 def test_value_count_missing_range_field(ray_session, tmp_path_factory):
     """value_count/missing on a RANGE (numeric) field: presence reads
-    the range-table ids (nulls never index), identical on both
-    layouts and on the actor path."""
+    the range-table ids (nulls never index), identical in process
+    and on the actor path."""
     rng = np.random.default_rng(5)
     n = 120
     docs = [" ".join(VOCAB[int(j)] for j in rng.integers(0, 10, 8))
@@ -930,22 +927,20 @@ def test_value_count_missing_range_field(ray_session, tmp_path_factory):
              if tokens & set(_re.findall(r"[a-z0-9_]+", d))]
     want_have = sum(1 for i in match if i % 4 < 2)
     want_miss = len(match) - want_have
-    for layout in ("term", "doc"):
-        cfg = IndexConfig(num_partitions=3, partition_by=layout,
-                          fields=(("content", "text", "base"),),
-                          keyword_fields=(), range_fields=("opt",),
-                          doc_id_col="doc_id", sha_col="text",
-                          salting=False)
-        idx = str(root / f"idx_{layout}")
-        build_index([src], idx, cfg)
-        for actors in ((False, True) if layout == "doc" else (False,)):
-            s = Searcher(idx, use_actors=actors)
-            try:
-                have, miss = s.value_count_aggregation("spark", "opt")
-            finally:
-                s.close()
-            assert (have, miss) == (want_have, want_miss), \
-                (layout, actors)
+    cfg = IndexConfig(num_partitions=3,
+                      fields=(("content", "text", "base"),),
+                      keyword_fields=(), range_fields=("opt",),
+                      doc_id_col="doc_id", sha_col="text")
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    for actors in (False, True):
+        s = Searcher(idx, use_actors=actors)
+        try:
+            have, miss = s.value_count_aggregation("spark", "opt")
+        finally:
+            s.close()
+        assert (have, miss) == (want_have, want_miss), \
+            actors
 
 
 def test_dsl_scroll(dsl_s):
@@ -1037,7 +1032,7 @@ def test_dsl_field_caps_validate_template(dsl_s):
 def test_bool_terms_filter_cross_layout(ray_session, tmp_path_factory):
     """bool.filter terms (multi-value keyword filter): union of the
     values' packed doc lists — equals the merged single-term filters,
-    identical across layouts and on the actor path."""
+    identical in process and on the actor path."""
     rng = np.random.default_rng(11)
     n = 150
     docs = [" ".join(VOCAB[int(j)] for j in rng.integers(0, 10, 10))
@@ -1051,44 +1046,42 @@ def test_bool_terms_filter_cross_layout(ray_session, tmp_path_factory):
     src = str(root / "d.parquet")
     pq.write_table(t, src)
     want = None
-    for layout in ("term", "doc"):
-        cfg = IndexConfig(num_partitions=3, partition_by=layout,
-                          fields=(("content", "text", "base"),),
-                          keyword_fields=("lang",), range_fields=(),
-                          doc_id_col="doc_id", sha_col="text",
-                          salting=False)
-        idx = str(root / f"idx_{layout}")
-        build_index([src], idx, cfg)
-        for actors in ((False, True) if layout == "doc" else (False,)):
-            s = Searcher(idx, use_actors=actors)
-            try:
-                r = execute_dsl(s, {"query": {"bool": {
-                    "must": [{"match": {"content": "spark"}}],
-                    "filter": [{"terms": {"lang": ["py", "ts"]}}]}},
-                    "size": 1000})
-                got = [(h["_id"], round(h["_score"], 9))
-                       for h in r["hits"]["hits"]]
-                # equals the union of the two single-term filters
-                a = execute_dsl(s, {"query": {"bool": {
-                    "must": [{"match": {"content": "spark"}}],
-                    "filter": [{"term": {"lang": "py"}}]}},
-                    "size": 1000})["hits"]["hits"]
-                b = execute_dsl(s, {"query": {"bool": {
-                    "must": [{"match": {"content": "spark"}}],
-                    "filter": [{"term": {"lang": "ts"}}]}},
-                    "size": 1000})["hits"]["hits"]
-                merged = sorted(
-                    [(round(h["_score"], 9), h["_id"])
-                     for h in a + b], key=lambda x: (-x[0], x[1]))
-                assert got == [(d, sc) for sc, d in merged]
-                assert got and all(
-                    lid % 4 in (0, 3) for lid, _ in got)
-            finally:
-                s.close()
-            if want is None:
-                want = got
-            else:
-                assert got == want, (layout, actors)
+    cfg = IndexConfig(num_partitions=3,
+                      fields=(("content", "text", "base"),),
+                      keyword_fields=("lang",), range_fields=(),
+                      doc_id_col="doc_id", sha_col="text")
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    for actors in (False, True):
+        s = Searcher(idx, use_actors=actors)
+        try:
+            r = execute_dsl(s, {"query": {"bool": {
+                "must": [{"match": {"content": "spark"}}],
+                "filter": [{"terms": {"lang": ["py", "ts"]}}]}},
+                "size": 1000})
+            got = [(h["_id"], round(h["_score"], 9))
+                   for h in r["hits"]["hits"]]
+            # equals the union of the two single-term filters
+            a = execute_dsl(s, {"query": {"bool": {
+                "must": [{"match": {"content": "spark"}}],
+                "filter": [{"term": {"lang": "py"}}]}},
+                "size": 1000})["hits"]["hits"]
+            b = execute_dsl(s, {"query": {"bool": {
+                "must": [{"match": {"content": "spark"}}],
+                "filter": [{"term": {"lang": "ts"}}]}},
+                "size": 1000})["hits"]["hits"]
+            merged = sorted(
+                [(round(h["_score"], 9), h["_id"])
+                 for h in a + b], key=lambda x: (-x[0], x[1]))
+            assert got == [(d, sc) for sc, d in merged]
+            assert got and all(
+                lid % 4 in (0, 3) for lid, _ in got)
+        finally:
+            s.close()
+        if want is None:
+            want = got
+        else:
+            assert got == want, actors
 
 
 def test_dsl_post_filter(dsl_s):
@@ -1245,12 +1238,12 @@ def test_update_by_query(ray_session, tmp_path_factory):
     src = str(root / "d.parquet")
     pq.write_table(t, src)
     idx = str(root / "idx")
-    cfg = IndexConfig(num_partitions=2, partition_by="doc",
+    cfg = IndexConfig(num_partitions=2,
                       fields=(("content", "text", "base"),),
                       keyword_fields=("lang",),
                       range_fields=("msm",),
                       doc_id_col="doc_id", sha_col="text",
-                      store_source=True, salting=False)
+                      store_source=True)
     build_index([src], idx, cfg)
 
     body = {"query": {"term": {"lang": "py"}},
@@ -1680,7 +1673,7 @@ def test_terms_missing_param(ray_session, tmp_path):
     build_index([src], idx, IndexConfig(
         num_partitions=2, fields=(("content", "text", "base"),),
         keyword_fields=("team",), doc_id_col="doc_id",
-        sha_col="text", salting=False))
+        sha_col="text"))
     s = Searcher(idx, use_actors=False)
     try:
         a = execute_dsl(s, {
@@ -1700,8 +1693,8 @@ def test_terms_missing_param(ray_session, tmp_path):
 def test_filters_agg_other_bucket_cross_layout(ray_session,
                                                tmp_path_factory):
     """filters agg other_bucket: live docs matching NONE of the named
-    filters — brute-forced from the generated docs, identical across
-    layouts and on the actor path; bool entries + other_bucket refuse."""
+    filters — brute-forced from the generated docs, identical in
+    process and on the actor path; bool entries + other_bucket refuse."""
     rng = np.random.default_rng(23)
     n = 120
     docs = [" ".join(VOCAB[int(j)] for j in rng.integers(0, 10, 8))
@@ -1724,44 +1717,42 @@ def test_filters_agg_other_bucket_cross_layout(ray_session,
     root = tmp_path_factory.mktemp("filters_other")
     src = str(root / "d.parquet")
     pq.write_table(t, src)
-    for layout in ("term", "doc"):
-        cfg = IndexConfig(num_partitions=3, partition_by=layout,
-                          fields=(("content", "text", "base"),),
-                          keyword_fields=(), range_fields=(),
-                          doc_id_col="doc_id", sha_col="text",
-                          salting=False)
-        idx = str(root / f"idx_{layout}")
-        build_index([src], idx, cfg)
-        for actors in ((False, True) if layout == "doc" else (False,)):
-            s = Searcher(idx, use_actors=actors)
-            try:
-                r = execute_dsl(s, body)
-                got = {k: v["doc_count"] for k, v in
-                       r["aggregations"]["kinds"]["buckets"].items()}
-                assert got == want, (layout, actors)
-                # custom key name
-                body2 = {"size": 0, "aggs": {"kinds": {"filters": {
-                    "filters": body["aggs"]["kinds"]["filters"]["filters"],
-                    "other_bucket_key": "rest"}}}}
-                r2 = execute_dsl(s, body2)
-                assert (r2["aggregations"]["kinds"]["buckets"]["rest"]
-                        ["doc_count"]) == want["_other_"]
-                # bool entries cannot carry an other bucket
-                with pytest.raises(ValueError, match="other_bucket"):
-                    execute_dsl(s, {"size": 0, "aggs": {"k": {"filters": {
-                        "filters": {"x": {"bool": {"filter": [
-                            {"term": {"lang": "py"}}]}}},
-                        "other_bucket": True}}}})
-            finally:
-                s.close()
+    cfg = IndexConfig(num_partitions=3,
+                      fields=(("content", "text", "base"),),
+                      keyword_fields=(), range_fields=(),
+                      doc_id_col="doc_id", sha_col="text")
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    for actors in (False, True):
+        s = Searcher(idx, use_actors=actors)
+        try:
+            r = execute_dsl(s, body)
+            got = {k: v["doc_count"] for k, v in
+                   r["aggregations"]["kinds"]["buckets"].items()}
+            assert got == want, actors
+            # custom key name
+            body2 = {"size": 0, "aggs": {"kinds": {"filters": {
+                "filters": body["aggs"]["kinds"]["filters"]["filters"],
+                "other_bucket_key": "rest"}}}}
+            r2 = execute_dsl(s, body2)
+            assert (r2["aggregations"]["kinds"]["buckets"]["rest"]
+                    ["doc_count"]) == want["_other_"]
+            # bool entries cannot carry an other bucket
+            with pytest.raises(ValueError, match="other_bucket"):
+                execute_dsl(s, {"size": 0, "aggs": {"k": {"filters": {
+                    "filters": {"x": {"bool": {"filter": [
+                        {"term": {"lang": "py"}}]}}},
+                    "other_bucket": True}}}})
+        finally:
+            s.close()
 
 
 def test_histogram_offset_extended_bounds_cross_layout(ray_session,
                                                        tmp_path_factory):
     """histogram offset + extended_bounds: shifted bucket grid
     (floor((v-off)/i)*i + off) brute-forced from the generated values;
-    min_doc_count=0 zero fill widens to the bounds, identical across
-    layouts and on the actor path."""
+    min_doc_count=0 zero fill widens to the bounds, identical in
+    process and on the actor path."""
     rng = np.random.default_rng(31)
     n = 90
     vals = [int(rng.integers(40, 400)) for _ in range(n)]
@@ -1787,36 +1778,34 @@ def test_histogram_offset_extended_bounds_cross_layout(ray_session,
                 "field": "v", "interval": 50, "offset": 25,
                 "min_doc_count": 0,
                 "extended_bounds": {"min": -75, "max": 975}}}}}
-    for layout in ("term", "doc"):
-        cfg = IndexConfig(num_partitions=3, partition_by=layout,
-                          fields=(("content", "text", "base"),),
-                          keyword_fields=(), range_fields=("v",),
-                          doc_id_col="doc_id", sha_col="text",
-                          salting=False)
-        idx = str(root / f"idx_{layout}")
-        build_index([src], idx, cfg)
-        for actors in ((False, True) if layout == "doc" else (False,)):
-            s = Searcher(idx, use_actors=actors)
-            try:
-                r = execute_dsl(s, body)
-                got = [(b["key"], b["doc_count"]) for b in
-                       r["aggregations"]["h"]["buckets"]]
-                assert got == want, (layout, actors)
-                # plain offset without bounds: non-empty buckets only
-                r2 = execute_dsl(s, {**body, "aggs": {"h": {"histogram": {
-                    "field": "v", "interval": 50, "offset": 25}}}})
-                got2 = {b["key"]: b["doc_count"] for b in
-                        r2["aggregations"]["h"]["buckets"]}
-                assert got2 == {float(k): v for k, v in cnt.items()}
-            finally:
-                s.close()
+    cfg = IndexConfig(num_partitions=3,
+                      fields=(("content", "text", "base"),),
+                      keyword_fields=(), range_fields=("v",),
+                      doc_id_col="doc_id", sha_col="text")
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    for actors in (False, True):
+        s = Searcher(idx, use_actors=actors)
+        try:
+            r = execute_dsl(s, body)
+            got = [(b["key"], b["doc_count"]) for b in
+                   r["aggregations"]["h"]["buckets"]]
+            assert got == want, actors
+            # plain offset without bounds: non-empty buckets only
+            r2 = execute_dsl(s, {**body, "aggs": {"h": {"histogram": {
+                "field": "v", "interval": 50, "offset": 25}}}})
+            got2 = {b["key"]: b["doc_count"] for b in
+                    r2["aggregations"]["h"]["buckets"]}
+            assert got2 == {float(k): v for k, v in cnt.items()}
+        finally:
+            s.close()
 
 
 def test_global_agg_cross_layout(ray_session, tmp_path_factory):
     """global agg: ignores the outer query (doc_count = every live
     doc; sub-aggs over the whole corpus) while a sibling agg stays in
     the narrowed query context — brute-forced from the generated
-    docs, identical across layouts and on the actor path."""
+    docs, identical in process and on the actor path."""
     rng = np.random.default_rng(47)
     n = 150
     docs = [" ".join(VOCAB[int(j)] for j in rng.integers(0, 10, 8))
@@ -1846,34 +1835,32 @@ def test_global_agg_cross_layout(ray_session, tmp_path_factory):
     root = tmp_path_factory.mktemp("global_agg")
     src = str(root / "d.parquet")
     pq.write_table(t, src)
-    for layout in ("term", "doc"):
-        cfg = IndexConfig(num_partitions=3, partition_by=layout,
-                          fields=(("content", "text", "base"),),
-                          keyword_fields=("lang",), range_fields=("v",),
-                          doc_id_col="doc_id", sha_col="text",
-                          salting=False)
-        idx = str(root / f"idx_{layout}")
-        build_index([src], idx, cfg)
-        for actors in ((False, True) if layout == "doc" else (False,)):
-            s = Searcher(idx, use_actors=actors)
-            try:
-                r = execute_dsl(s, body)
-                g = r["aggregations"]["everything"]
-                assert g["doc_count"] == n, (layout, actors)
-                got_all = {b["key"]: b["doc_count"]
-                           for b in g["by_lang"]["buckets"]}
-                assert got_all == want_all_by_lang, (layout, actors)
-                assert g["v_avg"]["value"] == pytest.approx(
-                    want_all_avg), (layout, actors)
-                got_q = {b["key"]: b["doc_count"] for b in
-                         r["aggregations"]["in_query"]["buckets"]}
-                assert got_q == want_q_by_lang, (layout, actors)
-                # non-empty global body refuses
-                with pytest.raises(ValueError, match="empty body"):
-                    execute_dsl(s, {"size": 0, "aggs": {"g": {
-                        "global": {"x": 1}}}})
-            finally:
-                s.close()
+    cfg = IndexConfig(num_partitions=3,
+                      fields=(("content", "text", "base"),),
+                      keyword_fields=("lang",), range_fields=("v",),
+                      doc_id_col="doc_id", sha_col="text")
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    for actors in (False, True):
+        s = Searcher(idx, use_actors=actors)
+        try:
+            r = execute_dsl(s, body)
+            g = r["aggregations"]["everything"]
+            assert g["doc_count"] == n, actors
+            got_all = {b["key"]: b["doc_count"]
+                       for b in g["by_lang"]["buckets"]}
+            assert got_all == want_all_by_lang, actors
+            assert g["v_avg"]["value"] == pytest.approx(
+                want_all_avg), actors
+            got_q = {b["key"]: b["doc_count"] for b in
+                     r["aggregations"]["in_query"]["buckets"]}
+            assert got_q == want_q_by_lang, actors
+            # non-empty global body refuses
+            with pytest.raises(ValueError, match="empty body"):
+                execute_dsl(s, {"size": 0, "aggs": {"g": {
+                    "global": {"x": 1}}}})
+        finally:
+            s.close()
 
 
 def test_variable_width_histogram_cross_layout(ray_session,
@@ -1882,7 +1869,7 @@ def test_variable_width_histogram_cross_layout(ray_session,
     clusters brute-forced from the generated values — the first
     n%B clusters take the extra value (DuckDB ntile split), tie
     correction keeps rank-range sums exact when equal values
-    straddle a boundary; identical across layouts and on the actor
+    straddle a boundary; identical in process and on the actor
     path, through execute_dsl too."""
     rng = np.random.default_rng(53)
     n = 140
@@ -1905,40 +1892,38 @@ def test_variable_width_histogram_cross_layout(ray_session,
     root = tmp_path_factory.mktemp("vwh")
     src = str(root / "d.parquet")
     pq.write_table(t, src)
-    for layout in ("term", "doc"):
-        cfg = IndexConfig(num_partitions=3, partition_by=layout,
-                          fields=(("content", "text", "base"),),
-                          keyword_fields=(), range_fields=("v",),
-                          doc_id_col="doc_id", sha_col="text",
-                          salting=False)
-        idx = str(root / f"idx_{layout}")
-        build_index([src], idx, cfg)
-        for actors in ((False, True) if layout == "doc" else (False,)):
-            s = Searcher(idx, use_actors=actors)
-            try:
-                rows = s.variable_width_histogram("spark", "v",
-                                                  buckets=B)
-                got = [(r["doc_count"], r["min"], r["max"], r["sum"])
-                       for r in rows]
-                assert got == [(sz, mn, mx, float(sm))
-                               for sz, mn, mx, sm in want], \
-                    (layout, actors)
-                # key = centroid
-                for r, (sz, _, _, sm) in zip(rows, want):
-                    assert r["key"] == pytest.approx(sm / sz)
-                # through the JSON executor
-                r2 = execute_dsl(s, {"size": 0,
-                    "query": {"match": {"content": "spark"}},
-                    "aggs": {"vw": {"variable_width_histogram": {
-                        "field": "v", "buckets": B}}}})
-                assert r2["aggregations"]["vw"]["buckets"] == rows
-                # B > n collapses to one cluster per value position
-                one = s.variable_width_histogram("spark", "v",
-                                                 buckets=10**6)
-                assert len(one) == len(matched)
-                assert [r["min"] for r in one] == matched
-            finally:
-                s.close()
+    cfg = IndexConfig(num_partitions=3,
+                      fields=(("content", "text", "base"),),
+                      keyword_fields=(), range_fields=("v",),
+                      doc_id_col="doc_id", sha_col="text")
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    for actors in (False, True):
+        s = Searcher(idx, use_actors=actors)
+        try:
+            rows = s.variable_width_histogram("spark", "v",
+                                              buckets=B)
+            got = [(r["doc_count"], r["min"], r["max"], r["sum"])
+                   for r in rows]
+            assert got == [(sz, mn, mx, float(sm))
+                           for sz, mn, mx, sm in want], \
+                actors
+            # key = centroid
+            for r, (sz, _, _, sm) in zip(rows, want):
+                assert r["key"] == pytest.approx(sm / sz)
+            # through the JSON executor
+            r2 = execute_dsl(s, {"size": 0,
+                "query": {"match": {"content": "spark"}},
+                "aggs": {"vw": {"variable_width_histogram": {
+                    "field": "v", "buckets": B}}}})
+            assert r2["aggregations"]["vw"]["buckets"] == rows
+            # B > n collapses to one cluster per value position
+            one = s.variable_width_histogram("spark", "v",
+                                             buckets=10**6)
+            assert len(one) == len(matched)
+            assert [r["min"] for r in one] == matched
+        finally:
+            s.close()
 
 
 def test_pit_pins_visibility(ray_session, tmp_path_factory):
@@ -1965,8 +1950,7 @@ def test_pit_pins_visibility(ray_session, tmp_path_factory):
     cfg = IndexConfig(num_partitions=4,
                       fields=(("content", "text", "base"),),
                       keyword_fields=("lang",), range_fields=(),
-                      doc_id_col="doc_id", sha_col="text",
-                      partition_by="doc", salting=False)
+                      doc_id_col="doc_id", sha_col="text")
     build_index([src], idx, cfg)
     s = Searcher(idx, use_actors=False)
     base = {int(d) for _, d in s.search("spark", k=1 << 31)}
@@ -1997,6 +1981,29 @@ def test_pit_pins_visibility(ray_session, tmp_path_factory):
         s2.close()
 
 
+def test_pit_ids_never_reused_after_close(tmp_path):
+    """open A, open B, close A, open C: C must not take B's id (an
+    ordinal derived from the count of open PITs would), so closing C
+    leaves B open."""
+    import json as _json
+
+    from siem_on_amazon_opensearch_service_ray.state.pit import (
+        close_pit, open_pit, pit_exclusions)
+    idx = str(tmp_path)
+    (tmp_path / "INDEX_MANIFEST.json").write_text(
+        _json.dumps({"fingerprint": "f" * 16, "generations": {}}))
+    a = open_pit(idx)
+    b = open_pit(idx)
+    assert close_pit(idx, a)
+    c = open_pit(idx)
+    assert c != b and c != a
+    assert close_pit(idx, c)
+    assert pit_exclusions(idx, b).size == 0     # B is still open
+    assert close_pit(idx, b)
+    with pytest.raises(KeyError, match="unknown or closed"):
+        pit_exclusions(idx, b)
+
+
 def test_pit_stable_deep_pagination(ray_session, tmp_path_factory):
     """THE PIT use case: field-sorted search_after paging stays
     consistent when docs are ingested mid-pagination — the remaining
@@ -2024,8 +2031,7 @@ def test_pit_stable_deep_pagination(ray_session, tmp_path_factory):
     cfg = IndexConfig(num_partitions=2,
                       fields=(("content", "text", "base"),),
                       keyword_fields=("lang",), range_fields=("ord",),
-                      doc_id_col="doc_id", sha_col="text",
-                      partition_by="doc", salting=False)
+                      doc_id_col="doc_id", sha_col="text")
     build_index([src], idx, cfg)
     s = Searcher(idx, use_actors=False)
     pit = execute_open_pit(s)["pit_id"]

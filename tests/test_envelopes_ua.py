@@ -93,7 +93,7 @@ def test_index_stats(ray_session, small_corpus, tmp_path):
     from siem_on_amazon_opensearch_service_ray.state.stats import (
         build_summary, docstore_stats, index_stats)
     idx = str(tmp_path / "idx")
-    build_index(small_corpus, idx, IndexConfig(num_partitions=4, salting=False))
+    build_index(small_corpus, idx, IndexConfig(num_partitions=4))
     st = index_stats(idx)
     assert len(st) == 4 and st["n_postings"].sum() > 0
     ds = docstore_stats(idx)

@@ -129,7 +129,7 @@ def test_fetch_docs_roundtrip(ray_session, small_corpus, tmp_path):
     from siem_on_amazon_opensearch_service_ray.state.docstore import fetch_docs
     from siem_on_amazon_opensearch_service_ray.state.searcher import Searcher
     idx = str(tmp_path / "idx")
-    cfg = IndexConfig(num_partitions=4, salting=False)
+    cfg = IndexConfig(num_partitions=4)
     build_index(small_corpus, idx, cfg)
     s = Searcher(idx, use_actors=False)
     hits = s.search("needle_137", k=3)

@@ -4,8 +4,8 @@ dashboard request (query + keyword filter + time/numeric window, then
 aggregate).  Filters install as ambient per-process context
 (`searcher.ctx_filters`, broadcast to shard actors) and intersect at
 the match-set chokepoints, so every whitelisted agg kind inherits
-them on BOTH layouts.  Reference semantics: OpenSearch filter-context
-clauses narrow the agg scope without affecting scoring
+them in process and on shard actors.  Reference semantics: OpenSearch
+filter-context clauses narrow the agg scope without affecting scoring
 (reference dashboards: source/saved_objects/each-dashboard/*.ndjson
 panel filters)."""
 
@@ -57,20 +57,29 @@ def _body(aggs: dict) -> dict:
             "size": 0, "aggs": aggs}
 
 
-@pytest.fixture(scope="module", params=["term", "doc"])
-def searcher(request, ray_session, tmp_path_factory):
-    root = tmp_path_factory.mktemp(f"fagg_{request.param}")
+@pytest.fixture(scope="module")
+def fagg_index(ray_session, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fagg")
     df = _frame()
     src = str(root / "d.parquet")
     pq.write_table(pa.Table.from_pandas(df[["doc_id", "text", "lang",
                                             "source", "n_chars"]]), src)
     idx = str(root / "idx")
     build_index([src], idx, IndexConfig(
-        num_partitions=4, partition_by=request.param,
+        num_partitions=4,
         fields=(("content", "text", "base"),),
         keyword_fields=("lang", "source"), range_fields=("n_chars",),
-        doc_id_col="doc_id", sha_col="text", salting=False))
-    s = Searcher(idx, use_actors=(request.param == "doc"))
+        doc_id_col="doc_id", sha_col="text"))
+    return idx, df
+
+
+# The ids keep the names this suite has always reported: "term" runs
+# the in-process searcher (the driver-side gather path the retired
+# term-partitioned layout used), "doc" the actor-sharded one.
+@pytest.fixture(scope="module", params=[False, True], ids=["term", "doc"])
+def searcher(request, fagg_index):
+    idx, df = fagg_index
+    s = Searcher(idx, use_actors=request.param)
     yield s, df
     s.close()
 

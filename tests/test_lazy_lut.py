@@ -37,7 +37,7 @@ def lut_index(ray_session, tmp_path_factory):
         "content": pa.array(rows, pa.large_string()),
     }), os.path.join(corpus, "chunk-00000.parquet"), row_group_size=128)
     index_dir = str(root / "idx")
-    cfg = IndexConfig(num_partitions=2, sample_mod=1)
+    cfg = IndexConfig(num_partitions=2)
     build_index(corpus, index_dir, cfg)
     return index_dir
 

@@ -1,9 +1,7 @@
 """multi_match (best_fields / most_fields, boosts, tie_breaker) —
-property tests against the single-field searcher, plus term- vs
-doc-partitioned identity.  The absolute-score contract is covered by
+property tests against the single-field searcher, plus in-process vs
+actor-sharded identity.  The absolute-score contract is covered by
 the MULTI_MATCH_SQL oracle in test_oracle_parity."""
-
-import dataclasses
 
 import numpy as np
 import pyarrow as pa
@@ -36,22 +34,18 @@ def mm_indexes(ray_session, tmp_path_factory):
     root = tmp_path_factory.mktemp("mm")
     src = str(root / "docs.parquet")
     pq.write_table(t, src)
-    # pin the TERM layout explicitly (the config default is now doc):
-    # this fixture's whole point is comparing term vs doc execution
+    # (in-process driver searcher, actor-sharded searcher) over one index
     cfg = IndexConfig(num_partitions=4,
                       fields=(("content", "text", "base"),
                               ("lbl", "label", "base")),
                       keyword_fields=(), id_cols=("doc_id",),
-                      doc_id_col="doc_id", sha_col="text", salting=False,
-                      partition_by="term")
-    idx_t = str(root / "idx_term")
-    build_index([src], idx_t, cfg)
-    idx_d = str(root / "idx_doc")
-    build_index([src], idx_d,
-                dataclasses.replace(cfg, partition_by="doc"))
-    st = Searcher(idx_t, use_actors=False)
-    sd = Searcher(idx_d, use_actors=False)
+                      doc_id_col="doc_id", sha_col="text")
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    st = Searcher(idx, use_actors=False)
+    sd = Searcher(idx, use_actors=True)
     yield st, sd
+    sd.close()
 
 
 def _full(s, q, field):
@@ -242,23 +236,21 @@ def mm_pos_indexes(ray_session, tmp_path_factory):
                       fields=(("content", "text", "base"),
                               ("lbl", "label", "base")),
                       keyword_fields=(), id_cols=("doc_id",),
-                      doc_id_col="doc_id", sha_col="text", salting=False,
-                      partition_by="term", store_positions=True)
-    idx_t = str(root / "idx_term")
-    build_index([src], idx_t, cfg)
-    idx_d = str(root / "idx_doc")
-    build_index([src], idx_d,
-                dataclasses.replace(cfg, partition_by="doc"))
-    st = Searcher(idx_t, use_actors=False)
-    sd = Searcher(idx_d, use_actors=False)
+                      doc_id_col="doc_id", sha_col="text",
+                      store_positions=True)
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    st = Searcher(idx, use_actors=False)
+    sd = Searcher(idx, use_actors=True)
     labels = t.column("label").to_pylist()
     yield st, sd, texts, labels
+    sd.close()
 
 
 def test_multi_match_phrase_types(mm_pos_indexes):
     """multi_match type=phrase / phrase_prefix: per-field phrase
     matching combined dis-max (max + tie_breaker * rest), field
-    boosts honored, both layouts identical, and equal to the
+    boosts honored, identical in process and on actors, and equal to the
     hand-combined per-field phrase searches."""
     st, sd, _texts, _labels = mm_pos_indexes
     q, tb = "spark join", 0.3
@@ -292,8 +284,8 @@ def test_field_masking_span(mm_pos_indexes):
     identity; (2) a masked leaf alone reads the alternate field's
     positions (doc set + per-doc tf match the planted labels);
     (3) a cross-field span_near composes content positions with lbl
-    positions — doc set = spark-in-text ∩ join-in-label; both
-    layouts identical throughout."""
+    positions — doc set = spark-in-text ∩ join-in-label; identical
+    in process and on actors throughout."""
     st, sd, texts, labels = mm_pos_indexes
     plain = {"span_near": {"clauses": [{"span_term": "spark"},
                                        {"span_term": "alpha"}],

@@ -19,13 +19,12 @@ VOCAB = ["spark", "join", "shuffle", "sql", "table", "query", "merge",
 N = 300
 
 
-def _cfg(parts=2, by="doc"):
-    return IndexConfig(num_partitions=parts, partition_by=by,
+def _cfg(parts=2):
+    return IndexConfig(num_partitions=parts,
                        fields=(("content", "text", "base"),),
                        keyword_fields=("lang",),
                        range_fields=("msm",),
-                       doc_id_col="doc_id", sha_col="text",
-                       salting=False)
+                       doc_id_col="doc_id", sha_col="text")
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +380,6 @@ def test_cat_aliases_count_mapping_settings(split_indexes, capsys):
     assert props["msm"] == {"type": "double"}
     st = get_settings(ia)["log-2024-01"]["settings"]["index"]
     assert st["number_of_shards"] == 2
-    assert st["partition_by"] == "doc"
     assert st["number_of_replicas"] == 0 and st["uuid"]
     assert main(["cat-aliases", root]) == 0
     assert json.loads(capsys.readouterr().out) == rows

@@ -71,7 +71,7 @@ def test_block_decode_matches_full_decode():
 
 def test_merge_salted_runs():
     doc_ids, tfs, norms = _random_postings(500, seed=5)
-    # simulate doc_id % 3 salting
+    # a term's runs across 3 doc parts (doc_id % 3)
     runs = []
     for s in range(3):
         m = (doc_ids % 3) == s

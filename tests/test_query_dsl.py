@@ -44,7 +44,7 @@ def dsl_index(ray_session, tmp_path_factory):
                       keyword_fields=("lang", "repo"),
                       range_fields=("n_chars",),
                       doc_id_col="doc_id", sha_col="text",
-                      store_positions=True, salting=False)
+                      store_positions=True)
     build_index([src], idx, cfg)
     s = Searcher(idx, use_actors=False)
     yield s, docs
@@ -438,7 +438,9 @@ def test_terms_stats_aggregation(dsl_index, ref):
 
 def test_doc_sharded_aggregations_match_term_partitioned(
         dsl_index, ray_session, tmp_path_factory):
-    import dataclasses
+    """The per-part aggregation paths over a second, unpositioned index
+    of the same docs — in process and on actors — equal the fixture
+    index's results."""
     import pyarrow.parquet as pq2
     s, docs = dsl_index
     root = tmp_path_factory.mktemp("dsl_doc")
@@ -455,8 +457,7 @@ def test_doc_sharded_aggregations_match_term_partitioned(
     cfg = IndexConfig(num_partitions=4, fields=(("content", "text", "base"),),
                       keyword_fields=("lang", "repo"),
                       range_fields=("n_chars",),
-                      doc_id_col="doc_id", sha_col="text",
-                      partition_by="doc", salting=False)
+                      doc_id_col="doc_id", sha_col="text")
     build_index([src], idx, cfg)
     sd = Searcher(idx, use_actors=False)
     for q in ("spark join", "dup_zero_hits"):
@@ -697,20 +698,16 @@ def test_more_like_this(dsl_index, ref):
 
 
 def test_percentile_ranks_doc_layout_identity(ray_session):
-    """percentile_ranks on the doc-partitioned layout (per-shard
-    count-<= partials) must equal the term-partitioned computation
-    (global match set probing the range tables) — a doc matching both
-    query terms must be counted once, not once per owning part."""
+    """percentile_ranks on actors (per-shard count-<= partials) must
+    equal the in-process computation over the same index — a doc
+    matching both query terms must be counted once, not once per
+    term."""
     from siem_on_amazon_opensearch_service_ray.pipelines import queries as q
     from siem_on_amazon_opensearch_service_ray.state.searcher import Searcher
     sf = "/root/testdata/sf0.001"
-    from siem_on_amazon_opensearch_service_ray.pipelines.build_index import (
-        build_index)
-    idx_t = q._docs_index_dir(sf)
-    build_index(q._docs_source(sf), idx_t, q._docs_index_cfg(), resume=True)
-    idx_d = q._doc_sharded_index(sf)
-    st = Searcher(idx_t, use_actors=False)
-    sd = Searcher(idx_d, use_actors=True)
+    idx = q._doc_sharded_index(sf)
+    st = Searcher(idx, use_actors=False)
+    sd = Searcher(idx, use_actors=True)
     try:
         probes = [150.0, 300.0, 450.0]
         want = st.percentile_ranks(q.BM25_QUERY, "n_chars", probes)
@@ -725,25 +722,27 @@ def test_percentile_ranks_doc_layout_identity(ray_session):
 
 def test_mad_distributed_matches_driver_side(ray_session):
     """Distributed-exact MAD (count-probe median + deviation probes)
-    equals the driver-side np.median computation on both layouts."""
+    on actors equals the in-process np.median computation and a
+    brute-force MAD over the matched values."""
     import numpy as np
     from siem_on_amazon_opensearch_service_ray.pipelines import queries as q
-    from siem_on_amazon_opensearch_service_ray.pipelines.build_index import (
-        build_index)
     from siem_on_amazon_opensearch_service_ray.state.searcher import Searcher
     sf = "/root/testdata/sf0.001"
-    idx_t = q._docs_index_dir(sf)
-    build_index(q._docs_source(sf), idx_t, q._docs_index_cfg(), resume=True)
-    idx_d = q._doc_sharded_index(sf)
-    st = Searcher(idx_t, use_actors=False)
-    sd = Searcher(idx_d, use_actors=True)
-    sd_local = Searcher(idx_d, use_actors=False)
+    idx = q._doc_sharded_index(sf)
+    st = Searcher(idx, use_actors=False)
+    sd = Searcher(idx, use_actors=True)
     try:
         want = st.mad_aggregation(q.BM25_QUERY, "n_chars")
         got_dist = sd.mad_aggregation(q.BM25_QUERY, "n_chars")
-        got_local = sd_local.mad_aggregation(q.BM25_QUERY, "n_chars")
         np.testing.assert_allclose(got_dist, want, rtol=1e-12)
-        np.testing.assert_allclose(got_local, want, rtol=1e-12)
+        from siem_on_amazon_opensearch_service_ray.analysis import ANALYZERS
+        ids = st._match_ids("content", ANALYZERS["base"](q.BM25_QUERY),
+                            "or")
+        got = st.fetch_docs(ids, columns=["n_chars"])
+        v = np.asarray([x for x in got.column("n_chars").to_pylist()
+                        if x is not None], np.float64)
+        np.testing.assert_allclose(
+            want, np.median(np.abs(v - np.median(v))), rtol=1e-12)
     finally:
         sd.close()
 
@@ -763,8 +762,8 @@ def test_bucket_selector_and_sort_pure():
 
 
 def test_matrix_stats_weighted_avg_cross_layout(ray_session, tmp_path):
-    """matrix_stats / weighted_avg: term layout (driver alignment) and
-    doc layout (per-shard six-sum partials, actors and local) all
+    """matrix_stats / weighted_avg: per-shard six-sum partials, actors
+    and local, all
     equal the numpy reference; docs missing either field are skipped."""
     import numpy as np
     import pyarrow as pa
@@ -803,31 +802,27 @@ def test_matrix_stats_weighted_avg_cross_layout(ray_session, tmp_path):
         * ((mw * mw).sum() / mw.size - mw.mean() ** 2)))
 
     results = []
-    for layout in ("term", "doc"):
-        cfg = IndexConfig(num_partitions=3, partition_by=layout,
-                          fields=(("content", "content", "base"),),
-                          keyword_fields=(), range_fields=("x", "w"),
-                          doc_id_col="doc_id", sha_col="content",
-                          salting=False)
-        idx = str(tmp_path / f"idx_{layout}")
-        build_index(str(corpus), idx, cfg)
-        searchers = [Searcher(idx, use_actors=False)]
-        if layout == "doc":
-            searchers.append(Searcher(idx, use_actors=True))
-        for s in searchers:
-            try:
-                ms = s.matrix_stats("alpha", ("x", "w"))
-                wa = s.weighted_avg("alpha", "x", "w")
-            finally:
-                s.close()
-            assert ms["count"] == match.size
-            np.testing.assert_allclose(ms["covariance"], cov_ref,
-                                       rtol=1e-12)
-            np.testing.assert_allclose(ms["correlation"], corr_ref,
-                                       rtol=1e-12)
-            np.testing.assert_allclose(wa["value"], ref_wavg, rtol=1e-12)
-            results.append((ms["sums"]["sxy"], ms["sums"]["sxx"]))
-    # exact integer sums identical across layouts and execution modes
+    cfg = IndexConfig(num_partitions=3,
+                      fields=(("content", "content", "base"),),
+                      keyword_fields=(), range_fields=("x", "w"),
+                      doc_id_col="doc_id", sha_col="content")
+    idx = str(tmp_path / "idx")
+    build_index(str(corpus), idx, cfg)
+    for actors in (False, True):
+        s = Searcher(idx, use_actors=actors)
+        try:
+            ms = s.matrix_stats("alpha", ("x", "w"))
+            wa = s.weighted_avg("alpha", "x", "w")
+        finally:
+            s.close()
+        assert ms["count"] == match.size
+        np.testing.assert_allclose(ms["covariance"], cov_ref,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(ms["correlation"], corr_ref,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(wa["value"], ref_wavg, rtol=1e-12)
+        results.append((ms["sums"]["sxy"], ms["sums"]["sxx"]))
+    # exact integer sums identical across execution modes
     assert len(set(results)) == 1
 
 
@@ -862,31 +857,24 @@ def test_extended_bucket_metrics_pure():
 
 def test_adjacency_and_auto_histogram_cross_layout(ray_session):
     """adjacency_matrix and auto_date_histogram produce identical
-    output on the term layout (driver gather) and the doc layout
-    (per-shard partials, actors and local)."""
+    output in process and on actors (per-shard partials)."""
     from siem_on_amazon_opensearch_service_ray.pipelines import queries as q
-    from siem_on_amazon_opensearch_service_ray.pipelines.build_index import (
-        build_index)
     from siem_on_amazon_opensearch_service_ray.state.searcher import Searcher
     sf = "/root/testdata/sf0.001"
-    idx_t = q._docs_index_dir(sf)
-    build_index(q._docs_source(sf), idx_t, q._docs_index_cfg(), resume=True)
-    idx_d = q._doc_sharded_index(sf)
-    st = Searcher(idx_t, use_actors=False)
-    sd = Searcher(idx_d, use_actors=True)
-    sd_local = Searcher(idx_d, use_actors=False)
+    idx = q._doc_sharded_index(sf)
+    st = Searcher(idx, use_actors=False)
+    sd = Searcher(idx, use_actors=True)
     try:
         want_adj = st.adjacency_matrix(q._ADJ_FILTERS)
         want_ah = st.auto_date_histogram(q.BM25_QUERY, "n_chars",
                                          target_buckets=8)
-        for s in (sd, sd_local):
-            assert s.adjacency_matrix(q._ADJ_FILTERS) == want_adj
-            assert s.auto_date_histogram(q.BM25_QUERY, "n_chars",
-                                         target_buckets=8) == want_ah
+        assert sd.adjacency_matrix(q._ADJ_FILTERS) == want_adj
+        assert sd.auto_date_histogram(q.BM25_QUERY, "n_chars",
+                                      target_buckets=8) == want_ah
         assert want_adj  # non-trivial fixture
         assert want_ah[1]
     finally:
-        st.close(); sd.close(); sd_local.close()
+        st.close(); sd.close()
 
 
 def test_serial_diff_and_normalize_pure():

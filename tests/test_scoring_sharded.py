@@ -1,14 +1,14 @@
 """Doc-sharded execution for the scoring operators that need the full
 match set (constant_score / boosting / function_score / collapse) plus
-the presence-count aggs: every *_sharded method must be rank-AND-score
-identical to the term-partitioned driver path, and function_score's
+the presence-count aggs: every *_sharded method executed per shard on
+actors must be rank-AND-score identical to the in-process driver path
+over the same index, and function_score's
 decay / weight / score_mode surface is checked against a brute-force
 reference.  Reference parity: OpenSearch executes these per doc shard
 and merges shard-local partials (the collapse combine is an
 associative max per value; function_score rescoring is per-doc
 local)."""
 
-import dataclasses
 import math
 import re
 
@@ -28,8 +28,8 @@ N_DOCS = 400
 
 @pytest.fixture(scope="module")
 def pair(ray_session, tmp_path_factory):
-    """The SAME corpus indexed under both layouts: term (driver path,
-    the oracle twin) and doc (actor-sharded, the scale default)."""
+    """(in-process driver searcher, actor-sharded searcher) over one
+    index of the corpus."""
     rng = np.random.default_rng(11)
     docs = []
     for _ in range(N_DOCS):
@@ -50,17 +50,13 @@ def pair(ray_session, tmp_path_factory):
     cfg = IndexConfig(num_partitions=4,
                       fields=(("content", "text", "base"),),
                       keyword_fields=("lang",), range_fields=("n_chars",),
-                      doc_id_col="doc_id", sha_col="text", salting=False,
-                      partition_by="term")
-    term_dir = str(root / "idx_term")
-    doc_dir = str(root / "idx_doc")
-    build_index([src], term_dir, cfg)
-    build_index([src], doc_dir,
-                dataclasses.replace(cfg, partition_by="doc"))
-    s_term = Searcher(term_dir, use_actors=False)
-    s_doc = Searcher(doc_dir, use_actors=True)
-    yield s_term, s_doc, docs, t
-    s_doc.close()
+                      doc_id_col="doc_id", sha_col="text")
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    s_local = Searcher(idx, use_actors=False)
+    s_act = Searcher(idx, use_actors=True)
+    yield s_local, s_act, docs, t
+    s_act.close()
 
 
 def _same(got, want):
@@ -162,7 +158,7 @@ def test_function_score_decay_modes_sharded(pair):
                "scale": 50.0, "decay": 0.3}]
         _same(sd.function_score_sharded("spark join", functions=fn, k=20),
               st.function_score("spark join", functions=fn, k=20))
-    # random_score: per-doc-local hash -> cross-layout identical,
+    # random_score: per-doc-local hash -> identical per shard,
     # deterministic across calls, seed changes the order
     fn = [{"type": "random_score", "seed": 11}]
     r1 = st.function_score("spark join", functions=fn, k=20)
@@ -257,9 +253,9 @@ def test_collapse_sharded(pair):
 
 
 def test_value_count_sharded(pair):
-    """value_count/missing on the doc layout: additive per-shard
-    presence partials equal the term-layout driver computation and
-    the brute-force census."""
+    """value_count/missing: additive per-shard presence partials on
+    actors equal the in-process computation and the brute-force
+    census."""
     st, sd, docs, t = pair
     langs = t.column("lang").to_pylist()
     for q in ("spark join", "sql", "needle"):
@@ -303,7 +299,7 @@ def test_completion_fuzzy(pair):
     got = sd.suggest_completion("sprk", fuzziness=1, size=10)
     assert [t for t, _ in got] == ["spark"]
     # expansion set == brute-force prefix-edit distance over the vocab,
-    # same on both layouts
+    # same in process and on actors
     for q, d in [("sprk", 1), ("sq", 1), ("tble", 1), ("xy", 2)]:
         want = sorted(t for t in VOCAB
                       if t[:1] == q[:1]
@@ -344,30 +340,31 @@ def test_completion_context(pair):
 
 
 def test_match_bool_prefix_cross_layout(pair):
-    """match_bool_prefix: term-layout driver path vs doc-sharded —
+    """match_bool_prefix: in-process driver path vs doc-sharded —
     rank AND score identical, and equal to the hand-built expanded OR
     (literal terms + prefix expansion of the last token)."""
-    s_term, s_doc, docs, _ = pair
-    got_t = s_term.match_bool_prefix("spark s", k=50)
-    got_d = s_doc.match_bool_prefix_sharded("spark s", k=50)
+    s_local, s_act, docs, _ = pair
+    got_t = s_local.match_bool_prefix("spark s", k=50)
+    got_d = s_act.match_bool_prefix_sharded("spark s", k=50)
     _same(got_d, got_t)
     # reference: union of 'spark' and every vocab term starting 's'
     exp = ["spark"] + sorted({w for w in VOCAB
                               if w.startswith("s") and w != "spark"})
-    want = s_term._expanded_or(
+    want = s_local._expanded_or(
         list(dict.fromkeys(exp)), "content", 50, 1.2, 0.75)
     assert {d for _, d in got_t} == {d for _, d in want}
     # single-token query: pure prefix query
-    _same(s_term.match_bool_prefix("sq", k=20),
-          s_term.prefix_search("sq", k=20))
+    _same(s_local.match_bool_prefix("sq", k=20),
+          s_local.prefix_search("sq", k=20))
     # empty analysis -> []
-    assert s_term.match_bool_prefix("!!!", k=5) == []
+    assert s_local.match_bool_prefix("!!!", k=5) == []
 
 
 @pytest.fixture(scope="module")
 def cf_pair(ray_session, tmp_path_factory):
-    """Two-text-field corpus with per-doc length sidecars under both
-    layouts (combined_fields needs store_doclens)."""
+    """Two-text-field corpus with per-doc length sidecars
+    (combined_fields needs store_doclens), searched in process and on
+    actors."""
     rng = np.random.default_rng(23)
     docs, titles = [], []
     for i in range(200):
@@ -385,29 +382,27 @@ def cf_pair(ray_session, tmp_path_factory):
                       fields=(("content", "text", "base"),
                               ("title", "title", "base")),
                       keyword_fields=(), range_fields=(),
-                      doc_id_col="doc_id", sha_col="text", salting=False,
-                      store_doclens=True, partition_by="term")
-    term_dir, doc_dir = str(root / "t"), str(root / "d")
-    build_index([src], term_dir, cfg)
-    build_index([src], doc_dir,
-                dataclasses.replace(cfg, partition_by="doc"))
-    s_term = Searcher(term_dir, use_actors=False)
-    s_doc = Searcher(doc_dir, use_actors=True)
-    yield s_term, s_doc, docs, titles
-    s_doc.close()
+                      doc_id_col="doc_id", sha_col="text",
+                      store_doclens=True)
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    s_local = Searcher(idx, use_actors=False)
+    s_act = Searcher(idx, use_actors=True)
+    yield s_local, s_act, docs, titles
+    s_act.close()
 
 
 def test_combined_fields_cross_layout_and_reference(cf_pair):
-    """combined_fields: term-layout driver path vs doc-sharded — rank
+    """combined_fields: in-process driver path vs doc-sharded — rank
     AND score identical — and equal to a brute-force BM25F reference
     (weighted tf, sidecar quantized dl, union df)."""
     import math
     from siem_on_amazon_opensearch_service_ray.norms import (
         decode_norm, encode_norm)
-    s_term, s_doc, docs, titles = cf_pair
+    s_local, s_act, docs, titles = cf_pair
     q, flds = "spark sort", ["content", "title^3"]
-    got_t = s_term.combined_fields(q, flds, k=300)
-    got_d = s_doc.combined_fields_sharded(q, flds, k=300)
+    got_t = s_local.combined_fields(q, flds, k=300)
+    got_d = s_act.combined_fields_sharded(q, flds, k=300)
     _same(got_d, got_t)
     # brute force
     N = len(docs)
@@ -433,22 +428,22 @@ def test_combined_fields_cross_layout_and_reference(cf_pair):
     _same(got_t, want)
     # weight < 1 rejected; empty query/fields -> []
     with pytest.raises(ValueError, match=">= 1"):
-        s_term.combined_fields("spark", ["content^0.5"])
-    assert s_term.combined_fields("", flds) == []
-    assert s_term.combined_fields("zz_not_there", flds) == []
+        s_local.combined_fields("spark", ["content^0.5"])
+    assert s_local.combined_fields("", flds) == []
+    assert s_local.combined_fields("zz_not_there", flds) == []
 
 
 def test_combined_fields_requires_sidecar(pair):
     """An index built WITHOUT store_doclens raises a named error."""
-    s_term, _, _, _ = pair
+    s_local, _, _, _ = pair
     with pytest.raises(ValueError, match="store_doclens"):
-        s_term.combined_fields("spark", ["content"], k=5)
+        s_local.combined_fields("spark", ["content"], k=5)
 
 
 def test_intervals_translation_contracts(pair):
     """intervals -> span translation: single-token match = span_term;
     unbounded max_gaps; unsupported kinds raise named errors."""
-    s_term, _, _, _ = pair
+    s_local, _, _, _ = pair
     an = lambda t: t.split()
     one = Searcher._intervals_to_span({"match": {"query": "spark"}}, an)
     assert one == {"span_term": "spark"}
@@ -472,8 +467,9 @@ def test_intervals_translation_contracts(pair):
 
 
 def test_geo_queries_cross_layout(pair, tmp_path_factory, ray_session):
-    """geo_bounding_box / geo_distance queries: doc-sharded equals the
-    term-layout driver path, equals a brute-force filtered BM25."""
+    """geo_bounding_box / geo_distance queries: doc-sharded on actors
+    equals the in-process driver path, equals a brute-force filtered
+    BM25."""
     rng = np.random.default_rng(7)
     docs = [" ".join(VOCAB[int(j)]
                      for j in rng.integers(0, len(VOCAB),
@@ -491,14 +487,11 @@ def test_geo_queries_cross_layout(pair, tmp_path_factory, ray_session):
     cfg = IndexConfig(num_partitions=4,
                       fields=(("content", "text", "base"),),
                       keyword_fields=(), range_fields=("lat", "lon"),
-                      doc_id_col="doc_id", sha_col="text", salting=False,
-                      partition_by="term")
-    term_dir, doc_dir = str(root / "t"), str(root / "d")
-    build_index([src], term_dir, cfg)
-    build_index([src], doc_dir,
-                dataclasses.replace(cfg, partition_by="doc"))
-    s_t = Searcher(term_dir, use_actors=False)
-    s_d = Searcher(doc_dir, use_actors=True)
+                      doc_id_col="doc_id", sha_col="text")
+    idx = str(root / "idx")
+    build_index([src], idx, cfg)
+    s_t = Searcher(idx, use_actors=False)
+    s_d = Searcher(idx, use_actors=True)
     try:
         box = (("spark join", "lat", "lon", (20.05, -50.05),
                 (-10.05, 30.05)))
@@ -532,7 +525,7 @@ def test_geo_queries_cross_layout(pair, tmp_path_factory, ray_session):
                                        (89.0, 0.0), 10.0) == []
         assert s_t.geo_bounding_box_search("spark", "lat", "lon",
                                            (89.9, 0.0), (89.8, 0.1)) == []
-        # geo_polygon: convex ring, cross-layout identical, equals the
+        # geo_polygon: convex ring, identical on actors, equals the
         # brute-force half-plane census; CW input auto-reverses
         ring = [(-35.01, -80.03), (-37.07, 40.09),
                 (15.03, 55.01), (25.09, -60.07)]  # (lat, lon), CCW
@@ -588,7 +581,7 @@ def test_knn_index_sidecar(ray_session, tmp_path_factory):
                       fields=(("content", "text", "base"),),
                       keyword_fields=(), range_fields=(),
                       doc_id_col="doc_id", sha_col="text",
-                      vector_fields=("emb",), salting=False)
+                      vector_fields=("emb",))
     idx = str(root / "idx")
     build_index([src], idx, cfg)
     s = Searcher(idx, use_actors=True)

@@ -1,8 +1,8 @@
 """multi_terms / significant_text / terms_set / geo_distance vs brute
-force, on BOTH index layouts (the doc-sharded default and the
-term-routed twin) — per-shard partials must reproduce the exact
-whole-corpus result.  Reference semantics: OpenSearch multi_terms
-(docs missing either field are skipped), significant_text JLH
+force, executed per shard on actors and in process — per-shard
+partials must reproduce the exact whole-corpus result.  Reference
+semantics: OpenSearch multi_terms (docs missing either field are
+skipped), significant_text JLH
 (doc-count percentages, full-dictionary scan), terms_set with
 minimum_should_match_field (per-doc minimum, BM25-sum scoring),
 geo_distance arc rings (from-incl/to-excl km, haversine R=6371)."""
@@ -50,17 +50,16 @@ def corpora(ray_session, tmp_path_factory):
     root = tmp_path_factory.mktemp("s5ops")
     src = str(root / "docs.parquet")
     pq.write_table(t, src)
-    out = {}
-    for layout in ("doc", "term"):
-        idx = str(root / f"idx_{layout}")
-        cfg = IndexConfig(num_partitions=4, partition_by=layout,
-                          fields=(("content", "text", "base"),),
-                          keyword_fields=("lang", "repo"),
-                          range_fields=("msm", "lat", "lon"),
-                          doc_id_col="doc_id", sha_col="text",
-                          store_positions=True, salting=False)
-        build_index([src], idx, cfg)
-        out[layout] = Searcher(idx, use_actors=False)
+    idx = str(root / "idx")
+    cfg = IndexConfig(num_partitions=4,
+                      fields=(("content", "text", "base"),),
+                      keyword_fields=("lang", "repo"),
+                      range_fields=("msm", "lat", "lon"),
+                      doc_id_col="doc_id", sha_col="text",
+                      store_positions=True)
+    build_index([src], idx, cfg)
+    out = {"actors": Searcher(idx, use_actors=True),
+           "local": Searcher(idx, use_actors=False)}
     yield out, docs
     for s in out.values():
         s.close()
@@ -80,9 +79,9 @@ def test_multi_terms(corpora):
         exp[key] = exp.get(key, 0) + 1
     want = sorted(((a, b, n) for (a, b), n in exp.items()),
                   key=lambda t: (-t[2], t[0], t[1]))
-    for layout, s in searchers.items():
+    for name, s in searchers.items():
         got = s.multi_terms_aggregation("spark join", ("lang", "repo"))
-        assert got == want, layout
+        assert got == want, name
 
 
 def test_significant_text_jlh(corpora):
@@ -101,18 +100,18 @@ def test_significant_text_jlh(corpora):
             continue
         exp.append((t, fg, (fp - bp) * (fp / bp)))
     exp.sort(key=lambda r: (-r[2], r[0]))
-    for layout, s in searchers.items():
+    for name, s in searchers.items():
         got = s.significant_text("spark join", field="content", k=20)
         assert [(t, n) for t, n, _ in got] == \
-            [(t, n) for t, n, _ in exp[:20]], layout
+            [(t, n) for t, n, _ in exp[:20]], name
         for (_, _, a), (_, _, b) in zip(got, exp):
-            assert math.isclose(a, b, rel_tol=1e-12), layout
+            assert math.isclose(a, b, rel_tol=1e-12), name
 
 
 def test_significant_text_max_terms_guard(corpora):
     searchers, _ = corpora
     with pytest.raises(ValueError, match="max_terms"):
-        searchers["doc"].significant_text("spark", field="content",
+        searchers["actors"].significant_text("spark", field="content",
                                           max_terms=3)
 
 
@@ -148,20 +147,20 @@ def test_terms_set_per_doc_minimum(corpora):
                     tf + 1.2 * (1 - 0.75 + 0.75 * dq / avgdl))
         exp.append((sc, i))
     exp.sort(key=lambda sd: (-sd[0], sd[1]))
-    for layout, s in searchers.items():
-        fn = (s.terms_set_search_sharded if layout == "doc"
+    for name, s in searchers.items():
+        fn = (s.terms_set_search_sharded if name == "actors"
               else s.terms_set_search)
         got = fn(terms, field="content", msm_field="msm", k=15)
         assert [(round(a, 6), b) for a, b in got] == \
-            [(round(a, 6), b) for a, b in exp[:15]], layout
+            [(round(a, 6), b) for a, b in exp[:15]], name
     # constant minimum: msm=3 keeps only docs containing all three
-    got = searchers["doc"].terms_set_search_sharded(
+    got = searchers["actors"].terms_set_search_sharded(
         terms, minimum_should_match=3, k=200)
     want_ids = {i for i, tl in enumerate(tok_lists)
                 if all(t in tl for t in terms)}
     assert {d for _, d in got} == want_ids
     # no minimum given -> empty (OpenSearch requires one)
-    assert searchers["doc"].terms_set_search(terms, k=5) == []
+    assert searchers["actors"].terms_set_search(terms, k=5) == []
 
 
 def test_geo_distance_rings(corpora):
@@ -179,17 +178,17 @@ def test_geo_distance_rings(corpora):
                 and (hi is None or dist[i] < hi))
         want.append(n)
     labels = ["*-2500.0", "2500.0-5500.0", "5500.0-*"]
-    for layout, s in searchers.items():
+    for name, s in searchers.items():
         got = s.geo_distance_aggregation("spark join", "lat", "lon",
                                          (0.0, 0.0), ranges)
-        assert got == list(zip(labels, want)), layout
+        assert got == list(zip(labels, want)), name
         assert sum(n for _, n in got) <= len(m)
 
 
 def test_sampler_and_diversified(corpora):
     """sampler / diversified_sampler vs a brute-force replay of the
-    collection rule.  Doc layout: per doc shard (doc_id % 4); term
-    layout: one global shard."""
+    collection rule: per doc shard (doc_id % 4), in process and on
+    actors."""
     searchers, docs = corpora
     terms = ["spark", "join"]
     tok_lists = [_toks(d) for d in docs]
@@ -243,18 +242,15 @@ def test_sampler_and_diversified(corpora):
 
     doc_shards = [set(i for i in range(N) if i % 4 == p)
                   for p in range(4)]
-    all_docs = [set(range(N))]
     for dv in (False, True):
-        want_doc = expect(doc_shards, 10, dv, 2)
-        got_doc = searchers["doc"].sampler_aggregation(
-            "spark join", "lang", shard_size=10,
-            diversify_field="repo" if dv else None, max_docs_per_value=2)
-        assert got_doc == want_doc, f"doc dv={dv}"
-        want_term = expect(all_docs, 40, dv, 2)
-        got_term = searchers["term"].sampler_aggregation(
-            "spark join", "lang", shard_size=40,
-            diversify_field="repo" if dv else None, max_docs_per_value=2)
-        assert got_term == want_term, f"term dv={dv}"
+        for shard_size in (10, 40):
+            want = expect(doc_shards, shard_size, dv, 2)
+            for name, s in searchers.items():
+                got = s.sampler_aggregation(
+                    "spark join", "lang", shard_size=shard_size,
+                    diversify_field="repo" if dv else None,
+                    max_docs_per_value=2)
+                assert got == want, f"{name} size={shard_size} dv={dv}"
 
 
 def test_geotile_grid(corpora):
@@ -271,12 +267,12 @@ def test_geotile_grid(corpora):
         k = f"4/{x[i]}/{y[i]}"
         exp[k] = exp.get(k, 0) + 1
     want = sorted(exp.items(), key=lambda kv: (-kv[1], kv[0]))
-    for layout, s in searchers.items():
+    for name, s in searchers.items():
         got = s.geotile_grid_aggregation("spark join", "lat", "lon",
                                          precision=4)
-        assert got == want, layout
+        assert got == want, name
     # size truncates after the (count desc, key asc) sort
-    got3 = searchers["doc"].geotile_grid_aggregation(
+    got3 = searchers["actors"].geotile_grid_aggregation(
         "spark join", "lat", "lon", precision=4, size=3)
     assert got3 == want[:3]
     # known projections: (0,0) is the exact center tile corner
@@ -305,21 +301,21 @@ def test_geo_bounds_and_boxplot(corpora):
     lon = -50.0 + grid * 1.7
     mlat = np.array([lat[i] for i in m])
     mlon = np.array([lon[i] for i in m])
-    for layout, s in searchers.items():
+    for name, s in searchers.items():
         gb = s.geo_bounds_aggregation("spark join", "lat", "lon")
-        assert gb["count"] == len(m), layout
-        assert gb["top_left"] == (mlat.max(), mlon.min()), layout
-        assert gb["bottom_right"] == (mlat.min(), mlon.max()), layout
+        assert gb["count"] == len(m), name
+        assert gb["top_left"] == (mlat.max(), mlon.min()), name
+        assert gb["bottom_right"] == (mlat.min(), mlon.max()), name
         assert math.isclose(gb["centroid"][0], mlat.mean(),
-                            rel_tol=1e-12), layout
+                            rel_tol=1e-12), name
         bp = s.boxplot_aggregation("spark join", "msm")
         vals = np.array([(i % 3) + 1.0 for i in m])
         assert bp["count"] == len(m) and bp["min"] == 1.0 \
-            and bp["max"] == 3.0, layout
+            and bp["max"] == 3.0, name
         for q, p in (("q1", 25), ("q2", 50), ("q3", 75)):
-            assert bp[q] == float(np.percentile(vals, p)), (layout, q)
+            assert bp[q] == float(np.percentile(vals, p)), (name, q)
     # empty match set
-    assert searchers["doc"].geo_bounds_aggregation(
+    assert searchers["actors"].geo_bounds_aggregation(
         "zzzmissing", "lat", "lon") == {"count": 0}
 
 
@@ -333,12 +329,12 @@ def test_string_stats_and_t_test(corpora):
     tot = sum(chars.values())
     p = np.array([chars[c] for c in sorted(chars)], np.float64) / tot
     want_entropy = float(-(p * np.log2(p)).sum())
-    for layout, s in searchers.items():
+    for name, s in searchers.items():
         st = s.string_stats("spark join", "repo")
         assert st["count"] == len(m) and st["min_length"] == 2 \
-            and st["max_length"] == 2 and st["avg_length"] == 2.0, layout
+            and st["max_length"] == 2 and st["avg_length"] == 2.0, name
         assert math.isclose(st["entropy"], want_entropy,
-                            rel_tol=1e-12), layout
+                            rel_tol=1e-12), name
         # t_test paired over (msm, lat): d derived from the same
         # six co-moment sums
         x = np.array([(i % 3) + 1.0 for i in m])
@@ -346,16 +342,16 @@ def test_string_stats_and_t_test(corpora):
         d = x - y
         want_t = d.mean() / math.sqrt(d.var(ddof=1) / d.size)
         tt = s.t_test("spark join", "msm", "lat", test_type="paired")
-        assert tt["count"] == len(m), layout
-        assert math.isclose(tt["t_value"], want_t, rel_tol=1e-9), layout
+        assert tt["count"] == len(m), name
+        assert math.isclose(tt["t_value"], want_t, rel_tol=1e-9), name
         # welch matches scipy-style formula
         want_w = (x.mean() - y.mean()) / math.sqrt(
             x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
         tw = s.t_test("spark join", "msm", "lat",
                       test_type="heteroscedastic")
-        assert math.isclose(tw["t_value"], want_w, rel_tol=1e-9), layout
+        assert math.isclose(tw["t_value"], want_w, rel_tol=1e-9), name
     # identical fields -> zero variance of d -> None
-    assert searchers["doc"].t_test("spark join", "msm", "msm")[
+    assert searchers["actors"].t_test("spark join", "msm", "msm")[
         "t_value"] is None
 
 
@@ -377,10 +373,10 @@ def test_geohash_grid(corpora):
     for i in m:
         exp[cells[i]] = exp.get(cells[i], 0) + 1
     want = sorted(exp.items(), key=lambda kv: (-kv[1], kv[0]))
-    for layout, s in searchers.items():
+    for name, s in searchers.items():
         got = s.geohash_grid_aggregation("spark join", "lat", "lon",
                                          precision=3)
-        assert got == want, layout
+        assert got == want, name
 
 
 def test_rate_buckets():
@@ -407,14 +403,14 @@ def test_scripted_metric(corpora):
     x = np.array([(i % 3) + 1.0 for i in m])          # msm
     y = np.array([-20.0 + (i % 40) * 0.9 for i in m])  # lat
     want_state = float((x * 2 - y).sum())
-    for layout, s in searchers.items():
+    for name, s in searchers.items():
         sm = s.scripted_metric("spark join", ("msm", "lat"),
                                "msm * 2 - lat", "state / count")
-        assert sm["count"] == len(m), layout
+        assert sm["count"] == len(m), name
         assert math.isclose(sm["state"], want_state, rel_tol=1e-12), \
-            layout
+            name
         assert math.isclose(sm["value"], want_state / len(m),
-                            rel_tol=1e-12), layout
+                            rel_tol=1e-12), name
     # escape attempts are rejected at compile time, driver-side
     for bad in ("__import__('os').system('x')", "msm.real", "msm[0]",
                 "print(msm)", "lambda: 1", "'s'"):
@@ -422,7 +418,7 @@ def test_scripted_metric(corpora):
             compile_metric_expr(bad, ("msm",))
     # unknown reduce name rejected before any scatter
     with pytest.raises(ValueError, match="unknown name"):
-        searchers["doc"].scripted_metric("spark", ("msm",), "msm",
+        searchers["actors"].scripted_metric("spark", ("msm",), "msm",
                                          "state / bogus")
 
 
@@ -471,28 +467,28 @@ def test_script_score_and_distance_feature(corpora):
     # script_score: _score * msm (msm = i%3 + 1)
     exp = sorted(((bm25(i) * ((i % 3) + 1), i) for i in m),
                  key=lambda sd: (-sd[0], sd[1]))
-    for layout, s in searchers.items():
-        fn = (s.script_score_search_sharded if layout == "doc"
+    for name, s in searchers.items():
+        fn = (s.script_score_search_sharded if name == "actors"
               else s.script_score_search)
         got = fn("spark join", "_score * msm", ("msm",), k=12)
         assert [(round(a, 6), b) for a, b in got] == \
-            [(round(a, 6), b) for a, b in exp[:12]], layout
+            [(round(a, 6), b) for a, b in exp[:12]], name
     # distance_feature on lat, origin 0, pivot 5, boost 3
     lat = [-20.0 + (i % 40) * 0.9 for i in range(N)]
     exp = sorted(((bm25(i) + 3.0 * 5.0 / (5.0 + abs(lat[i] - 0.0)), i)
                   for i in m), key=lambda sd: (-sd[0], sd[1]))
-    for layout, s in searchers.items():
-        fn = (s.distance_feature_search_sharded if layout == "doc"
+    for name, s in searchers.items():
+        fn = (s.distance_feature_search_sharded if name == "actors"
               else s.distance_feature_search)
         got = fn("spark join", "lat", 0.0, 5.0, boost=3.0, k=12)
         assert [(round(a, 6), b) for a, b in got] == \
-            [(round(a, 6), b) for a, b in exp[:12]], layout
+            [(round(a, 6), b) for a, b in exp[:12]], name
     # functions whitelist: sqrt/log allowed, everything else blocked
-    got = searchers["doc"].script_score_search(
+    got = searchers["actors"].script_score_search(
         "spark join", "sqrt(_score) + log1p(msm)", ("msm",), k=3)
     assert got
     with pytest.raises(ValueError, match="calls allowed"):
-        searchers["doc"].script_score_search(
+        searchers["actors"].script_score_search(
             "spark", "open('/etc/passwd')", (), k=1)
 
 
@@ -527,20 +523,20 @@ def test_rank_feature_exists_ids_pinned(corpora):
     exp = sorted(
         ((bm25(i) + 2.0 * (((i % 3) + 1) / (((i % 3) + 1) + 1.5)), i)
          for i in m), key=lambda sd: (-sd[0], sd[1]))
-    for layout, s in searchers.items():
-        fn = (s.rank_feature_search_sharded if layout == "doc"
+    for name, s in searchers.items():
+        fn = (s.rank_feature_search_sharded if name == "actors"
               else s.rank_feature_search)
         got = fn("spark join", "msm", function="saturation", pivot=1.5,
                  boost=2.0, k=12)
         assert [(round(a, 6), b) for a, b in got] == \
-            [(round(a, 6), b) for a, b in exp[:12]], layout
+            [(round(a, 6), b) for a, b in exp[:12]], name
         # exists: every doc carries msm -> first k ids ascending
         got = s.exists_search("msm", k=7)
-        assert got == [(1.0, i) for i in range(7)], layout
-        assert s.exists_search("no_such_field") == [], layout
+        assert got == [(1.0, i) for i in range(7)], name
+        assert s.exists_search("no_such_field") == [], name
         # ids: bogus ids drop, result doc-asc
         got = s.ids_search([9, 200 + N, 3, 9])
-        assert got == [(1.0, 3), (1.0, 9)], layout
+        assert got == [(1.0, 3), (1.0, 9)], name
         # pinned: given order first, organic (minus pinned) after
         organic = [i for _, i in
                    sorted(((bm25(i), i) for i in m),
@@ -548,24 +544,24 @@ def test_rank_feature_exists_ids_pinned(corpora):
         pins = [organic[5], 999999, organic[0]]
         got = s.pinned_search("spark join", pins, k=6)
         ids = [d for _, d in got]
-        assert ids[:2] == [organic[5], organic[0]], layout
+        assert ids[:2] == [organic[5], organic[0]], name
         assert ids[2:] == [i for i in organic
                            if i not in (organic[5], organic[0])][:4], \
-            layout
+            name
         # pinned synthetic scores strictly decrease across the pins
-        assert got[0][0] > got[1][0] > got[2][0], layout
+        assert got[0][0] > got[1][0] > got[2][0], name
 
 
 def test_simple_query_string_tolerance(corpora):
     from siem_on_amazon_opensearch_service_ray.state.querystring import (
         MUST, MUST_NOT, SHOULD, parse_simple_query_string)
     searchers, docs = corpora
-    s = searchers["doc"]
-    # sane queries execute on both paths, identically across layouts
+    s = searchers["actors"]
+    # sane queries execute on both paths, identically
     for q in ("spark | join", "spark join", '"spark join"~1 -sql',
               "spar* +table"):
         a = s.simple_query_string_sharded(q, k=8)
-        b = searchers["term"].simple_query_string(q, k=8)
+        b = searchers["local"].simple_query_string(q, k=8)
         assert [(round(x, 6), d) for x, d in a] == \
             [(round(x, 6), d) for x, d in b], q
     # garbage NEVER raises (the defining contract vs query_string)

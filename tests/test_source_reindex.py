@@ -41,7 +41,7 @@ def _write(root, docs, name="docs.parquet"):
 def _cfg(**kw):
     base = dict(num_partitions=4, fields=(("content", "text", "base"),),
                 keyword_fields=("lang",), doc_id_col="doc_id",
-                sha_col="text", salting=False, store_source=True)
+                sha_col="text", store_source=True)
     base.update(kw)
     return IndexConfig(**base)
 

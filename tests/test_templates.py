@@ -1,8 +1,10 @@
 """Template-driven field classification (pipelines/templates.py):
-parse the reference's VERBATIM command_index.txt console file,
-resolve an index name through composed_of the way OpenSearch does,
-classify columns, and build+query an index from the derived
-IndexConfig."""
+parse a console file in the reference's command_index.txt format
+(tests/fixtures/command_index.txt, hand-written), resolve an index
+name through composed_of the way OpenSearch does, classify columns,
+and build+query an index from the derived IndexConfig."""
+
+import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -15,22 +17,39 @@ from siem_on_amazon_opensearch_service_ray.pipelines.templates import (
     index_config_from_template, parse_console_commands)
 from siem_on_amazon_opensearch_service_ray.state.searcher import Searcher
 
+FIXTURE_TEMPLATES = os.path.join(os.path.dirname(__file__), "fixtures",
+                                 "command_index.txt")
+# the full reference file, when present, adds the whole-corpus checks
 REF_TEMPLATES = "/root/reference/source/lambda/deploy_es/command_index.txt"
 
 
 @pytest.fixture(scope="module")
 def store():
-    return TemplateStore.from_console(open(REF_TEMPLATES).read())
+    return TemplateStore.from_console(open(FIXTURE_TEMPLATES).read())
 
 
 def test_parse_reference_console_file(store):
-    # every PUT block in the reference file parses
-    cmds = parse_console_commands(open(REF_TEMPLATES).read())
-    assert len(cmds) > 50
+    # every PUT block in the console file parses
+    text = open(FIXTURE_TEMPLATES).read()
+    cmds = parse_console_commands(text)
+    assert len(cmds) == sum(1 for line in text.splitlines()
+                            if line.startswith("PUT "))
     assert "component_template_log" in store.components
     assert "log-aws-cloudtrail_aws" in store.index_templates
     # repeated PUT of component_template_log-aws: last write wins
-    assert "component_template_log-aws" in store.components
+    props = store.components["component_template_log-aws"][
+        "template"]["mappings"]["properties"]
+    assert props["cloud.region"] == {"type": "keyword"}
+
+
+@pytest.mark.skipif(not os.path.exists(REF_TEMPLATES),
+                    reason="full reference command_index.txt absent")
+def test_parse_full_reference_console_file():
+    cmds = parse_console_commands(open(REF_TEMPLATES).read())
+    assert len(cmds) > 50
+    store = TemplateStore.from_console(open(REF_TEMPLATES).read())
+    assert "component_template_log" in store.components
+    assert "log-aws-cloudtrail_aws" in store.index_templates
 
 
 def test_template_selection_by_priority(store):
@@ -97,7 +116,7 @@ def test_build_and_query_from_template(store, ray_session,
         store, "log-aws-cloudtrail-2026-01",
         {c: str(t.schema.field(c).type) for c in t.column_names
          if c != "doc_id"},
-        doc_id_col="doc_id", num_partitions=2, salting=False)
+        doc_id_col="doc_id", num_partitions=2)
     assert cfg.sha_col == "@message"
     idx = str(root / "idx")
     build_index([src], idx, cfg)
