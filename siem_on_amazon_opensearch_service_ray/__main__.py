@@ -1040,18 +1040,14 @@ def main(argv: list[str] | None = None) -> int:
                             searcher.span_query(json.loads(args.query),
                                                 args.field, args.k)]
                 elif qt == "simple-qs":
-                    sharded = searcher.use_actors
-                    fn = (searcher.simple_query_string_sharded if sharded
-                          else searcher.simple_query_string)
+                    fn = searcher.simple_query_string
                     hits = fn(args.query, field=args.field, k=args.k,
                               default_operator=args.default_operator)
                 elif qt == "rank-feature":
                     if not args.feature_field:
                         raise SystemExit("--type rank-feature needs "
                                          "--feature-field")
-                    sharded = searcher.use_actors
-                    fn = (searcher.rank_feature_search_sharded if sharded
-                          else searcher.rank_feature_search)
+                    fn = searcher.rank_feature_search
                     hits = fn(args.query, args.feature_field,
                               function=args.feature_fn,
                               pivot=args.pivot, boost=args.boost,
@@ -1070,9 +1066,7 @@ def main(argv: list[str] | None = None) -> int:
                     if not args.script_expr:
                         raise SystemExit("--type script-score needs "
                                          "--script-expr")
-                    sharded = searcher.use_actors
-                    fn = (searcher.script_score_search_sharded if sharded
-                          else searcher.script_score_search)
+                    fn = searcher.script_score_search
                     hits = fn(args.query, args.script_expr,
                               tuple(args.script_field),
                               field=args.field, k=args.k)
@@ -1080,30 +1074,22 @@ def main(argv: list[str] | None = None) -> int:
                     if not args.feature_field:
                         raise SystemExit("--type distance-feature needs "
                                          "--feature-field")
-                    sharded = searcher.use_actors
-                    fn = (searcher.distance_feature_search_sharded
-                          if sharded
-                          else searcher.distance_feature_search)
+                    fn = searcher.distance_feature_search
                     hits = fn(args.query, args.feature_field,
                               args.origin_value, args.pivot,
                               boost=args.boost, field=args.field,
                               k=args.k)
                 elif qt == "terms-set":
                     terms = args.should or (args.query or "").split()
-                    sharded = searcher.use_actors
-                    fn = (searcher.terms_set_search_sharded if sharded
-                          else searcher.terms_set_search)
+                    fn = searcher.terms_set_search
                     hits = fn(terms, field=args.field,
                               msm_field=args.msm_field,
                               minimum_should_match=args.msm, k=args.k)
                 elif qt in ("constant-score", "boosting",
                             "function-score", "collapse"):
-                    # actors -> the per-shard execution path; an
-                    # in-process searcher -> the unsharded path
-                    sharded = searcher.use_actors
+                    # with actors these run per doc shard
                     if qt == "constant-score":
-                        fn = (searcher.constant_score_sharded if sharded
-                              else searcher.constant_score)
+                        fn = searcher.constant_score
                         hits = fn(args.query, field=args.field,
                                   mode=args.mode, boost=args.boost,
                                   k=args.k)
@@ -1111,8 +1097,7 @@ def main(argv: list[str] | None = None) -> int:
                         if not args.negative:
                             raise SystemExit(
                                 "--type boosting needs --negative")
-                        fn = (searcher.boosting_search_sharded if sharded
-                              else searcher.boosting_search)
+                        fn = searcher.boosting_search
                         hits = fn(args.query, args.negative,
                                   negative_boost=args.negative_boost,
                                   field=args.field, k=args.k)
@@ -1121,8 +1106,7 @@ def main(argv: list[str] | None = None) -> int:
                             raise SystemExit(
                                 "--type function-score needs "
                                 "--value-field")
-                        fn = (searcher.function_score_sharded if sharded
-                              else searcher.function_score)
+                        fn = searcher.function_score
                         hits = fn(args.query, field=args.field,
                                   value_field=args.value_field,
                                   factor=args.factor,
@@ -1132,8 +1116,7 @@ def main(argv: list[str] | None = None) -> int:
                         if not args.collapse_field:
                             raise SystemExit(
                                 "--type collapse needs --collapse-field")
-                        fn = (searcher.collapse_search_sharded if sharded
-                              else searcher.collapse_search)
+                        fn = searcher.collapse_search
                         rows = fn(args.query, args.collapse_field,
                                   field=args.field, k=args.k)
                         out = [{"rank": i, "doc_id": d,

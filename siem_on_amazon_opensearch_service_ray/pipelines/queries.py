@@ -429,7 +429,7 @@ def search_doc_sharded(sf_dir: str) -> pd.DataFrame:
     idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.search_doc_sharded(BM25_QUERY, field="content", k=BM25_K)
+        hits = s.search(BM25_QUERY, field="content", k=BM25_K)
     finally:
         s.close()
     return pd.DataFrame({
@@ -442,8 +442,8 @@ def search_doc_sharded(sf_dir: str) -> pd.DataFrame:
 def _doc_sharded_index(sf_dir: str, positions: bool = False) -> str:
     """Build-or-resume the shared documents index that the in-process
     entries also open (``positions=True``: the positional one the
-    phrase/span family needs) — the *_sharded entries below execute
-    on it per shard, so postings never centralize."""
+    phrase/span family needs) — with an actor pool the entries below
+    execute on it per shard, so postings never centralize."""
     cfg = _docs_index_cfg_pos() if positions else _docs_index_cfg()
     idx = _docs_index_dir(sf_dir) + ("_pos" if positions else "")
     build_index(_docs_source(sf_dir), idx, cfg, resume=True)
@@ -494,9 +494,7 @@ def search_intervals(sf_dir: str) -> pd.DataFrame:
                        "ordered": True}},
             {"match": {"query": "merge sort", "max_gaps": 0,
                        "ordered": True}}]}}
-        hits = s.intervals_query_sharded("content", rule, k=1_000_000) \
-            if ray.is_initialized() else \
-            s.intervals_query("content", rule, k=1_000_000)
+        hits = s.intervals_query("content", rule, k=1_000_000)
     finally:
         s.close()
     return pd.DataFrame({"doc_id": [d for _, d in hits],
@@ -610,11 +608,11 @@ def search_bool_sharded(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_doc_sharded_index(sf_dir),
                  use_actors=ray.is_initialized())
     try:
-        hits = s.search_bool_sharded(must=["spark"],
-                                     should=["join", "sort"],
-                                     must_not=["dup"],
-                                     minimum_should_match=1,
-                                     field="content", k=BM25_K)
+        hits = s.search_bool(must=["spark"],
+                             should=["join", "sort"],
+                             must_not=["dup"],
+                             minimum_should_match=1,
+                             field="content", k=BM25_K)
     finally:
         s.close()
     return _score_frame(hits)
@@ -626,8 +624,8 @@ def search_mlt_sharded(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_doc_sharded_index(sf_dir),
                  use_actors=ray.is_initialized())
     try:
-        hits = s.more_like_this_sharded(MLT_TEXT, k=BM25_K,
-                                        max_query_terms=MLT_MAX_TERMS)
+        hits = s.more_like_this(MLT_TEXT, k=BM25_K,
+                                max_query_terms=MLT_MAX_TERMS)
     finally:
         s.close()
     return _score_frame(hits)
@@ -639,8 +637,8 @@ def search_fuzzy_sharded(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_doc_sharded_index(sf_dir),
                  use_actors=ray.is_initialized())
     try:
-        hits = s.fuzzy_search_sharded("vale", field="content",
-                                      fuzziness=2, k=BM25_K)
+        hits = s.fuzzy_search("vale", field="content",
+                              fuzziness=2, k=BM25_K)
     finally:
         s.close()
     return _score_frame(hits)
@@ -652,7 +650,7 @@ def search_wildcard_sharded(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_doc_sharded_index(sf_dir),
                  use_actors=ray.is_initialized())
     try:
-        hits = s.wildcard_search_sharded("s?a*", field="content", k=BM25_K)
+        hits = s.wildcard_search("s?a*", field="content", k=BM25_K)
     finally:
         s.close()
     return _score_frame(hits)
@@ -665,7 +663,7 @@ def search_query_string_sharded(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_doc_sharded_index(sf_dir),
                  use_actors=ray.is_initialized())
     try:
-        hits = s.query_string_sharded(
+        hits = s.query_string(
             "spark AND join -dup n_chars:[100 TO 400]",
             field="content", k=BM25_K)
     finally:
@@ -679,8 +677,8 @@ def phrase_sharded(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_doc_sharded_index(sf_dir, positions=True),
                  use_actors=ray.is_initialized())
     try:
-        hits = s.phrase_search_sharded(BM25_QUERY, field="content",
-                                       k=1_000_000)
+        hits = s.phrase_search(BM25_QUERY, field="content",
+                               k=1_000_000)
     finally:
         s.close()
     return pd.DataFrame({"doc_id": [d for _, d in hits],
@@ -692,8 +690,8 @@ def span_near_sharded(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_doc_sharded_index(sf_dir, positions=True),
                  use_actors=ray.is_initialized())
     try:
-        hits = s.span_near_sharded(["spark", "join"], field="content",
-                                   slop=2, k=1_000_000)
+        hits = s.span_near(["spark", "join"], field="content",
+                           slop=2, k=1_000_000)
     finally:
         s.close()
     return pd.DataFrame({"doc_id": [d for _, d in hits],
@@ -707,9 +705,9 @@ def phrase_prefix_sharded(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_doc_sharded_index(sf_dir, positions=True),
                  use_actors=ray.is_initialized())
     try:
-        hits = s.match_phrase_prefix_sharded("join s", field="content",
-                                             k=1_000_000,
-                                             max_expansions=1024)
+        hits = s.match_phrase_prefix("join s", field="content",
+                                     k=1_000_000,
+                                     max_expansions=1024)
     finally:
         s.close()
     return pd.DataFrame({"doc_id": [d for _, d in hits],
@@ -1203,13 +1201,13 @@ MULTI_MATCH_FIELDS = ["content", "src"]
 MULTI_MATCH_TIE = 0.3
 
 
-def _multi_match_hits(sf_dir: str, sharded: bool) -> pd.DataFrame:
+def _multi_match_hits(sf_dir: str, use_actors: bool) -> pd.DataFrame:
     idx = _doc_sharded_index(sf_dir)
-    s = Searcher(idx, use_actors=ray.is_initialized())
+    s = Searcher(idx, use_actors=use_actors)
     try:
-        fn = s.multi_match_sharded if sharded else s.multi_match
-        hits = fn(MULTI_MATCH_QUERY, MULTI_MATCH_FIELDS, k=BM25_K,
-                  match_type="best_fields", tie_breaker=MULTI_MATCH_TIE)
+        hits = s.multi_match(MULTI_MATCH_QUERY, MULTI_MATCH_FIELDS,
+                             k=BM25_K, match_type="best_fields",
+                             tie_breaker=MULTI_MATCH_TIE)
     finally:
         s.close()
     return pd.DataFrame({
@@ -1227,8 +1225,8 @@ def search_constant_score(sf_dir: str) -> pd.DataFrame:
     idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.constant_score_sharded(BM25_QUERY, field="content",
-                                        boost=1.5, k=BM25_K)
+        hits = s.constant_score(BM25_QUERY, field="content",
+                                boost=1.5, k=BM25_K)
     finally:
         s.close()
     return pd.DataFrame({
@@ -1257,9 +1255,9 @@ def search_boosting(sf_dir: str) -> pd.DataFrame:
     idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.boosting_search_sharded(BM25_QUERY, "sort",
-                                         negative_boost=0.5,
-                                         field="content", k=BM25_K)
+        hits = s.boosting_search(BM25_QUERY, "sort",
+                                 negative_boost=0.5,
+                                 field="content", k=BM25_K)
     finally:
         s.close()
     return pd.DataFrame({
@@ -1340,8 +1338,8 @@ def search_collapse(sf_dir: str) -> pd.DataFrame:
     idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        rows = s.collapse_search_sharded(BM25_QUERY, "lang",
-                                         field="content", k=BM25_K)
+        rows = s.collapse_search(BM25_QUERY, "lang",
+                                 field="content", k=BM25_K)
     finally:
         s.close()
     return pd.DataFrame({
@@ -1361,10 +1359,10 @@ def search_function_score(sf_dir: str) -> pd.DataFrame:
     idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.function_score_sharded(BM25_QUERY, field="content",
-                                        value_field="n_chars",
-                                        factor=0.01, modifier="log1p",
-                                        k=BM25_K)
+        hits = s.function_score(BM25_QUERY, field="content",
+                                value_field="n_chars",
+                                factor=0.01, modifier="log1p",
+                                k=BM25_K)
     finally:
         s.close()
     return pd.DataFrame({
@@ -1386,7 +1384,7 @@ def search_function_decay(sf_dir: str) -> pd.DataFrame:
     idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.function_score_sharded(
+        hits = s.function_score(
             BM25_QUERY, field="content", k=BM25_K,
             functions=[
                 {"type": "gauss", "field": "n_chars", "origin": 300.0,
@@ -1416,7 +1414,7 @@ def search_function_random(sf_dir: str) -> pd.DataFrame:
     idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.function_score_sharded(
+        hits = s.function_score(
             BM25_QUERY, field="content", k=BM25_K,
             functions=[
                 {"type": "random_score", "seed": 7, "weight": 1.0},
@@ -1557,14 +1555,15 @@ FROM scored ORDER BY score DESC, doc_id LIMIT {BM25_K}
 def search_multi_match(sf_dir: str) -> pd.DataFrame:
     """multi_match best_fields over (content, src) with tie_breaker —
     Lucene DisjunctionMaxQuery parity: per-field BM25 scored over the
-    full match sets, combined max + tie * rest."""
-    return _multi_match_hits(sf_dir, sharded=False)
+    full match sets, combined max + tie * rest.  Runs in process."""
+    return _multi_match_hits(sf_dir, use_actors=False)
 
 
 def search_multi_match_sharded(sf_dir: str) -> pd.DataFrame:
     """multi_match executed per doc shard with per-FIELD global idf
-    (the dfs round ships one idf dict per field)."""
-    return _multi_match_hits(sf_dir, sharded=True)
+    (the dfs round ships one idf dict per field) when an actor pool is
+    available."""
+    return _multi_match_hits(sf_dir, use_actors=ray.is_initialized())
 
 
 def _bm25_cte(prefix: str, text_expr: str, terms: list[str]) -> str:
@@ -1835,10 +1834,8 @@ def search_combined_fields(sf_dir: str) -> pd.DataFrame:
     shard scores its slice."""
     s = Searcher(_cf_index(sf_dir), use_actors=ray.is_initialized())
     try:
-        hits = s.combined_fields_sharded(
-            "spark src3", ["content", "src^2"], k=BM25_K) \
-            if ray.is_initialized() else s.combined_fields(
-                "spark src3", ["content", "src^2"], k=BM25_K)
+        hits = s.combined_fields(
+            "spark src3", ["content", "src^2"], k=BM25_K)
     finally:
         s.close()
     return _score_frame(hits)
@@ -1902,10 +1899,7 @@ def search_match_bool_prefix(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_doc_sharded_index(sf_dir),
                  use_actors=ray.is_initialized())
     try:
-        hits = s.match_bool_prefix_sharded("spark jo", field="content",
-                                           k=BM25_K) \
-            if ray.is_initialized() else \
-            s.match_bool_prefix("spark jo", field="content", k=BM25_K)
+        hits = s.match_bool_prefix("spark jo", field="content", k=BM25_K)
     finally:
         s.close()
     return _score_frame(hits)
@@ -3370,7 +3364,7 @@ parts AS (
   SELECT doc_id, url,
          lower(regexp_extract(url, '{_URL_PARTS_SQL_RE}', 1)) AS scheme,
          regexp_replace(lower(regexp_extract(url,
-                        '{_URL_PARTS_SQL_RE}', 2)), '^www\\.', '')
+                        '{_URL_PARTS_SQL_RE}', 2)), '^(www\\.)+', '')
            AS host,
          regexp_extract(url, '{_URL_PARTS_SQL_RE}', 3) AS port,
          regexp_extract(url, '{_URL_PARTS_SQL_RE}', 4) AS rest
@@ -3384,15 +3378,15 @@ canon AS (
                 THEN '' ELSE port END ||
            regexp_replace(regexp_replace(regexp_replace(
              regexp_replace(rest, '#.*$', '', 'g'),
-             'utm_[^&#]*&', '', 'g'),
+             '([?&])(utm_[^&#]*&)+', '\\1', 'g'),
              '[?&]utm_[^&#]*$', '', 'g'),
              '^/$', '', 'g')
          END AS canon
   FROM parts)
 SELECT doc_id, url, canon,
-       CASE WHEN canon IS NULL THEN 1
-            WHEN doc_id = min(doc_id) OVER (PARTITION BY canon)
-            THEN 1 ELSE 0 END AS keep
+       CAST(CASE WHEN canon IS NULL THEN 1
+                 WHEN doc_id = min(doc_id) OVER (PARTITION BY canon)
+                 THEN 1 ELSE 0 END AS BIGINT) AS keep
 FROM canon
 ORDER BY doc_id
 """
@@ -5502,9 +5496,9 @@ def search_terms_set(sf_dir: str) -> pd.DataFrame:
     idx = _docs_aux_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.terms_set_search_sharded(_TERMS_SET_TERMS,
-                                          field="content",
-                                          msm_field="msm", k=BM25_K)
+        hits = s.terms_set_search(_TERMS_SET_TERMS,
+                                  field="content",
+                                  msm_field="msm", k=BM25_K)
     finally:
         s.close()
     return pd.DataFrame({
@@ -5560,9 +5554,7 @@ def search_geo_bbox(sf_dir: str) -> pd.DataFrame:
     try:
         args = (BM25_QUERY, "lat", "lon", (20.05, -50.05),
                 (-10.05, 30.05))
-        hits = s.geo_bounding_box_search_sharded(*args, k=BM25_K) \
-            if ray.is_initialized() else \
-            s.geo_bounding_box_search(*args, k=BM25_K)
+        hits = s.geo_bounding_box_search(*args, k=BM25_K)
     finally:
         s.close()
     return _score_frame(hits)
@@ -5585,9 +5577,7 @@ def search_geo_distance_query(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_docs_aux_index(sf_dir), use_actors=ray.is_initialized())
     try:
         args = (BM25_QUERY, "lat", "lon", (0.0, 0.0), 2000.0)
-        hits = s.geo_distance_search_sharded(*args, k=BM25_K) \
-            if ray.is_initialized() else \
-            s.geo_distance_search(*args, k=BM25_K)
+        hits = s.geo_distance_search(*args, k=BM25_K)
     finally:
         s.close()
     return _score_frame(hits)
@@ -5622,9 +5612,7 @@ def search_geo_polygon(sf_dir: str) -> pd.DataFrame:
     s = Searcher(_docs_aux_index(sf_dir), use_actors=ray.is_initialized())
     try:
         args = (BM25_QUERY, "lat", "lon", _GEO_POLY_LATLON)
-        hits = s.geo_polygon_search_sharded(*args, k=BM25_K) \
-            if ray.is_initialized() else \
-            s.geo_polygon_search(*args, k=BM25_K)
+        hits = s.geo_polygon_search(*args, k=BM25_K)
     finally:
         s.close()
     return _score_frame(hits)
@@ -6218,7 +6206,7 @@ def search_script_score(sf_dir: str) -> pd.DataFrame:
     idx = _docs_aux_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.script_score_search_sharded(
+        hits = s.script_score_search(
             BM25_QUERY, "_score + msm * 0.1", ("msm",), k=BM25_K)
     finally:
         s.close()
@@ -6246,7 +6234,7 @@ def search_distance_feature(sf_dir: str) -> pd.DataFrame:
     idx = _docs_aux_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.distance_feature_search_sharded(
+        hits = s.distance_feature_search(
             BM25_QUERY, "lat", 0.0, 10.0, boost=2.0, k=BM25_K)
     finally:
         s.close()
@@ -6277,7 +6265,7 @@ def search_rank_feature(sf_dir: str) -> pd.DataFrame:
     idx = _docs_aux_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.rank_feature_search_sharded(
+        hits = s.rank_feature_search(
             BM25_QUERY, "msm", function="saturation", pivot=2.0,
             boost=1.5, k=BM25_K)
     finally:
@@ -6389,8 +6377,8 @@ def search_simple_qs(sf_dir: str) -> pd.DataFrame:
     idx = _doc_sharded_index(sf_dir)
     s = Searcher(idx, use_actors=ray.is_initialized())
     try:
-        hits = s.simple_query_string_sharded("spark | join -sort mer*",
-                                             k=BM25_K)
+        hits = s.simple_query_string("spark | join -sort mer*",
+                                     k=BM25_K)
     finally:
         s.close()
     return pd.DataFrame({
@@ -6645,7 +6633,7 @@ s1 AS (SELECT doc_id,
               ln(1 + (st.n - df1.df + 0.5)/(df1.df + 0.5)) * tf * 2.2
               / (tf + 1.2*(1 - 0.75 + 0.75*dlq.dl_quant/st.avgdl)) AS score
        FROM tf1 JOIN dlq USING(doc_id) CROSS JOIN stats st CROSS JOIN df1),
-t1 AS (SELECT 0 AS req, cast(doc_id AS VARCHAR) AS key,
+t1 AS (SELECT CAST(0 AS BIGINT) AS req, cast(doc_id AS VARCHAR) AS key,
               cast(round(score*10000) AS BIGINT) AS value
        FROM s1 ORDER BY score DESC, doc_id LIMIT 5),
 tf2 AS (SELECT doc_id, count(*) AS tf FROM tok WHERE term = 'customer'
@@ -6655,7 +6643,7 @@ s2 AS (SELECT doc_id,
               ln(1 + (st.n - df2.df + 0.5)/(df2.df + 0.5)) * tf * 2.2
               / (tf + 1.2*(1 - 0.75 + 0.75*dlq.dl_quant/st.avgdl)) AS score
        FROM tf2 JOIN dlq USING(doc_id) CROSS JOIN stats st CROSS JOIN df2),
-t2 AS (SELECT 1 AS req, cast(doc_id AS VARCHAR) AS key,
+t2 AS (SELECT CAST(1 AS BIGINT) AS req, cast(doc_id AS VARCHAR) AS key,
               cast(round(score*10000) AS BIGINT) AS value
        FROM s2 ORDER BY score DESC, doc_id LIMIT 5)
 SELECT * FROM t1
@@ -6793,7 +6781,8 @@ def dsl_mget(sf_dir: str) -> pd.DataFrame:
 DSL_MGET_SQL = """
 WITH req(slot, doc_id) AS (
   VALUES (0, 7), (1, 0), (2, 123), (3, 1000000000), (4, 42))
-SELECT req.slot, req.doc_id,
+SELECT CAST(req.slot AS BIGINT) AS slot,
+       CAST(req.doc_id AS BIGINT) AS doc_id,
        d.doc_id IS NOT NULL AS found, d.lang
 FROM req LEFT JOIN documents d USING (doc_id)
 ORDER BY req.slot

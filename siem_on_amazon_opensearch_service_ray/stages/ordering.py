@@ -9,9 +9,12 @@ over the 32-bit id (the same formula `state/searcher.py`'s
     m = 69069 + 2*((seed * 10007) mod 2^20)      (odd, seeded)
     h = x * m mod 2^32
 
-All intermediates stay below 2^53, so DuckDB restates the hash
-bit-identically in BIGINT arithmetic — the shuffle ORDER and the
-split assignment both have exact SQL oracles.
+Every product stays below 2^54 (x < 2^32 and m < 2^22; the
+pre-scale product is below 2^49), so it is exact in the uint64 numpy
+arithmetic here and in DuckDB's signed 64-bit BIGINT, which restates
+the hash bit-identically.  (It is NOT below 2^53: x * m can pass it,
+so no step may go through float64.)  The shuffle ORDER and the split
+assignment both have exact SQL oracles.
 
 Why not ``ds.random_shuffle()``: it is nondeterministic across runs
 and cluster shapes, which breaks training reproducibility and makes
@@ -128,9 +131,17 @@ def write_training_shards(ds: rd.Dataset, out_dir: str,
     """The terminal training-prep stage: assign splits, shuffle-key
     every row, and write partitioned parquet
     ``out_dir/split=<name>/shard=<k>/…`` — one directory per
-    (split, shard) so a failed run resumes by skipping the finished
-    directories (the marker file records the input seed/fractions)
-    and a data loader reads one shard directory per worker.
+    (split, shard) so a data loader reads one shard directory per
+    worker.
+
+    Publication is atomic: the run writes into ``<out_dir>.partial``
+    (next to ``out_dir``), records the spec and counts in its marker
+    file, then renames the whole tree to ``out_dir``.  A crashed run
+    leaves only the ``.partial`` debris, which the rerun clears before
+    writing afresh — so a rerun never appends beside partial files.
+    A finished ``out_dir`` (marker present) with the same spec is a
+    no-op; a different spec, or an ``out_dir`` that holds files but
+    no marker, is refused.  One writer per ``out_dir`` at a time.
 
     Shard assignment rides a SECOND seed of the same hash (seed+1),
     so shard membership is independent of the split hash; within a
@@ -140,7 +151,9 @@ def write_training_shards(ds: rd.Dataset, out_dir: str,
     Returns {"marker": path, "splits": {...}} counts."""
     import json
     import os
+    import shutil
     fractions = fractions or {"train": 0.9, "val": 0.05, "test": 0.05}
+    out_dir = os.path.normpath(out_dir)
     marker = os.path.join(out_dir, "_TRAINING_SHARDS.json")
     spec = {"fractions": fractions, "seed": seed,
             "shards_per_split": shards_per_split, "id_col": id_col}
@@ -151,6 +164,11 @@ def write_training_shards(ds: rd.Dataset, out_dir: str,
             return prev        # finished run — resume is a no-op
         raise ValueError("out_dir holds shards written under a "
                          "DIFFERENT spec — refusing to mix")
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        raise ValueError(f"{out_dir} holds files but no training-shards "
+                         "marker — refusing to write into it")
+    tmp = out_dir + ".partial"
+    shutil.rmtree(tmp, ignore_errors=True)   # a crashed run's debris
     ds = assign_splits(ds, id_col=id_col, fractions=fractions,
                        seed=seed)
 
@@ -166,14 +184,17 @@ def write_training_shards(ds: rd.Dataset, out_dir: str,
                                             pa.int64()))
 
     ds = ds.map_batches(add_shard, batch_format="pyarrow")
-    ds.write_parquet(out_dir, partition_cols=["split", "shard"])
+    ds.write_parquet(tmp, partition_cols=["split", "shard"])
     counts: dict[str, int] = {}
     import pyarrow.dataset as pads
-    dset = pads.dataset(out_dir, partitioning="hive")
+    dset = pads.dataset(tmp, partitioning="hive")
     for name in fractions:
         counts[name] = dset.count_rows(
             filter=pads.field("split") == name)
     meta = {"spec": spec, "splits": counts, "marker": marker}
-    with open(marker, "w") as f:
+    with open(os.path.join(tmp, os.path.basename(marker)), "w") as f:
         json.dump(meta, f)
+    if os.path.isdir(out_dir):
+        os.rmdir(out_dir)                    # empty (checked above)
+    os.rename(tmp, out_dir)
     return meta

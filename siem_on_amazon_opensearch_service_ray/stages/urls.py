@@ -18,11 +18,13 @@ whole canonicalization chain restates exactly in SQL
 Canonical steps (documented, in order):
   1. first ``http(s)://`` URL per doc (case-insensitive scheme,
      space-delimited);
-  2. scheme and host lowercased; a leading ``www.`` label dropped;
+  2. scheme and host lowercased; leading ``www.`` labels dropped
+     (all of them, so the step is idempotent);
   3. default ports dropped (``http:80`` / ``https:443``; any other
      port kept);
   4. fragment stripped;
-  5. ``utm_*`` tracking parameters removed (with their separator);
+  5. ``utm_*`` tracking parameters removed (with their separator) —
+     only whole parameter names, i.e. right after ``?`` or ``&``;
   6. a bare root path ``/`` normalized to the empty path.
 Query-parameter SORTING is deliberately out of scope (it would need
 per-row list ops; order-insensitive keys can be layered on the canon
@@ -64,7 +66,7 @@ def canonicalize(url: pa.Array | pa.ChunkedArray) -> pa.Array:
     parts = pc.extract_regex(url, _PARTS_RE)
     scheme = pc.utf8_lower(pc.struct_field(parts, "scheme"))
     host = pc.replace_substring_regex(
-        pc.utf8_lower(pc.struct_field(parts, "host")), r"^www\.", "")
+        pc.utf8_lower(pc.struct_field(parts, "host")), r"^(?:www\.)+", "")
     port = pc.struct_field(parts, "port")
     default_port = pc.or_(
         pc.and_(pc.equal(scheme, "http"), pc.equal(port, ":80")),
@@ -72,7 +74,11 @@ def canonicalize(url: pa.Array | pa.ChunkedArray) -> pa.Array:
     port = pc.if_else(default_port, "", port)
     rest = pc.struct_field(parts, "rest")
     rest = pc.replace_substring_regex(rest, r"#.*$", "")
-    rest = pc.replace_substring_regex(rest, r"utm_[^&#]*&", "")
+    # a run of utm_* params, each anchored to its own separator
+    # (``?xutm_a=1`` is not a tracking param), keeps the separator
+    # that opened the run
+    rest = pc.replace_substring_regex(rest, r"([?&])(?:utm_[^&#]*&)+",
+                                      r"\1")
     rest = pc.replace_substring_regex(rest, r"[?&]utm_[^&#]*$", "")
     rest = pc.replace_substring_regex(rest, r"^/$", "")
     return pc.binary_join_element_wise(scheme, "://", host, port, rest,

@@ -85,9 +85,9 @@ the query is a ``match``/``match_all``/term-ish node (the engine's
 match-set aggs take analyzed terms + or/and mode); aggs under other
 query shapes raise.
 
-Doc-sharded auto-routing mirrors the CLI: on the default doc layout
-with an actor pool the *_sharded twin executes (per-shard partials,
-dfs round); everything else uses the driver path.  Cites: reference
+Execution is the engine's: with an actor pool every query and agg
+method runs per doc shard (per-shard partials, dfs round for scored
+nodes); in process the same methods run over every part.  Cites: reference
 `deploy_es` console bodies (command_index.txt) and the dashboards'
 panel queries are exactly this JSON shape.
 """
@@ -106,14 +106,6 @@ __all__ = ["execute_dsl", "execute_count", "execute_msearch",
            "execute_field_caps", "execute_validate",
            "execute_search_template", "render_search_template",
            "put_script", "get_script"]
-
-
-def _pick(s, name: str):
-    """Engine method, preferring the doc-sharded twin when routing
-    applies."""
-    if s.use_actors and hasattr(s, name + "_sharded"):
-        return getattr(s, name + "_sharded")
-    return getattr(s, name)
 
 
 def _one(node: dict, what: str) -> tuple[str, Any]:
@@ -379,12 +371,7 @@ def _exec_query(s, query: dict, size: int,
         field, text, op = _match_text(query)
         if collapse is not None:
             cf = collapse["field"]
-            fn = _pick(s, "collapse_search")
-            return fn(text, cf, field=field, k=size)
-        if s.use_actors:
-            return s.search_doc_sharded(text, field=field, k=size) \
-                if op == "or" else s.search_bool_sharded(
-                    must=text.split(), field=field, k=size)
+            return s.collapse_search(text, cf, field=field, k=size)
         return s.search(text, field=field, k=size, mode=op)
     if kind == "match_phrase":
         field, body = _one(spec, "match_phrase")
@@ -393,10 +380,10 @@ def _exec_query(s, query: dict, size: int,
         if slop:
             # sloppy phrases rank by phrase_tf (the engine's slop path)
             return [(float(tf), d) for tf, d in
-                    _pick(s, "phrase_search")(text, field=field,
-                                              k=size, slop=slop)]
-        return _pick(s, "phrase_search_scored")(text, field=field,
-                                                k=size)
+                    s.phrase_search(text, field=field,
+                                    k=size, slop=slop)]
+        return s.phrase_search_scored(text, field=field,
+                                      k=size)
     if kind == "knn":
         field, body = _one(spec, "knn")
         return s.knn_search(field, body["vector"],
@@ -410,22 +397,21 @@ def _exec_query(s, query: dict, size: int,
     if kind == "intervals":
         field, rule = _one(spec, "intervals")
         return [(float(n), d) for n, d in
-                _pick(s, "intervals_query")(field, rule, k=size)]
+                s.intervals_query(field, rule, k=size)]
     if kind == "match_bool_prefix":
         field, body = _one(spec, "match_bool_prefix")
         text = body["query"] if isinstance(body, dict) else str(body)
-        return _pick(s, "match_bool_prefix")(text, field=field, k=size)
+        return s.match_bool_prefix(text, field=field, k=size)
     if kind == "match_phrase_prefix":
         field, body = _one(spec, "match_phrase_prefix")
         text = body["query"] if isinstance(body, dict) else str(body)
         return [(float(tf), d) for tf, d in
-                _pick(s, "match_phrase_prefix")(text, field=field,
-                                                k=size)]
+                s.match_phrase_prefix(text, field=field,
+                                      k=size)]
     if kind == "multi_match":
-        fn = _pick(s, "multi_match")
-        return fn(spec["query"], list(spec["fields"]), k=size,
-                  match_type=spec.get("type", "best_fields"),
-                  tie_breaker=float(spec.get("tie_breaker", 0.0)))
+        return s.multi_match(spec["query"], list(spec["fields"]), k=size,
+                             match_type=spec.get("type", "best_fields"),
+                             tie_breaker=float(spec.get("tie_breaker", 0.0)))
     if kind == "dis_max":
         # Lucene DisjunctionMaxQuery over ARBITRARY sub-queries (each
         # with its own text/field — the same-text special case is
@@ -445,8 +431,7 @@ def _exec_query(s, query: dict, size: int,
         scored.sort(key=lambda t: (-t[0], t[1]))
         return scored[:size]
     if kind == "combined_fields":
-        fn = _pick(s, "combined_fields")
-        return fn(spec["query"], list(spec["fields"]), k=size)
+        return s.combined_fields(spec["query"], list(spec["fields"]), k=size)
     if kind == "bool":
         def _texts(clauses):
             out = []
@@ -483,29 +468,26 @@ def _exec_query(s, query: dict, size: int,
                 lat_f = cs.get("lat_field", "lat")
                 lon_f = cs.get("lon_field", "lon")
                 if ck == "geo_bounding_box":
-                    fn = _pick(s, "geo_bounding_box_search")
-                    return fn(text, lat_f, lon_f,
-                              tuple(cs["top_left"]),
-                              tuple(cs["bottom_right"]),
-                              field=_f, k=size)
+                    return s.geo_bounding_box_search(
+                        text, lat_f, lon_f, tuple(cs["top_left"]),
+                        tuple(cs["bottom_right"]), field=_f, k=size)
                 if ck == "geo_polygon":
-                    fn = _pick(s, "geo_polygon_search")
-                    return fn(text, lat_f, lon_f,
-                              [tuple(p) for p in cs["points"]],
-                              field=_f, k=size)
-                fn = _pick(s, "geo_distance_search")
-                return fn(text, lat_f, lon_f, tuple(cs["origin"]),
-                          float(cs["distance_km"]), field=_f, k=size)
+                    return s.geo_polygon_search(
+                        text, lat_f, lon_f,
+                        [tuple(p) for p in cs["points"]], field=_f, k=size)
+                return s.geo_distance_search(
+                    text, lat_f, lon_f, tuple(cs["origin"]),
+                    float(cs["distance_km"]), field=_f, k=size)
             else:
                 raise ValueError(f"bool filter {ck!r} unsupported "
                                  "(term/range/geo_bounding_box/"
                                  "geo_distance/geo_polygon)")
-        fn = _pick(s, "search_bool")
-        return fn(must=_texts(spec.get("must")),
-                  should=_texts(spec.get("should")),
-                  must_not=_texts(spec.get("must_not")),
-                  minimum_should_match=spec.get("minimum_should_match"),
-                  filters=tuple(fspecs) or None, k=size)
+        return s.search_bool(
+            must=_texts(spec.get("must")),
+            should=_texts(spec.get("should")),
+            must_not=_texts(spec.get("must_not")),
+            minimum_should_match=spec.get("minimum_should_match"),
+            filters=tuple(fspecs) or None, k=size)
     if kind in ("term", "terms"):
         raise ValueError(
             f"{kind!r} at top level is filter-context; wrap it in "
@@ -517,35 +499,34 @@ def _exec_query(s, query: dict, size: int,
         field, val = _one(spec, "prefix")
         if isinstance(val, dict):
             val = val["value"]
-        return _pick(s, "prefix_search")(val, field, size)
+        return s.prefix_search(val, field, size)
     if kind == "wildcard":
         field, val = _one(spec, "wildcard")
         if isinstance(val, dict):
             val = val["value"]
-        return _pick(s, "wildcard_search")(val, field, size)
+        return s.wildcard_search(val, field, size)
     if kind == "regexp":
         field, val = _one(spec, "regexp")
         if isinstance(val, dict):
             val = val["value"]
-        return _pick(s, "regexp_search")(val, field, size)
+        return s.regexp_search(val, field, size)
     if kind == "fuzzy":
         field, val = _one(spec, "fuzzy")
         fz = 1
         if isinstance(val, dict):
             fz = int(val.get("fuzziness", 1))
             val = val["value"]
-        return _pick(s, "fuzzy_search")(val, field, fz, size)
+        return s.fuzzy_search(val, field, fz, size)
     if kind == "query_string":
-        return _pick(s, "query_string")(spec["query"],
-                                        spec.get("default_field",
-                                                 "content"), size)
+        return s.query_string(spec["query"],
+                              spec.get("default_field", "content"), size)
     if kind == "simple_query_string":
-        return _pick(s, "simple_query_string")(
+        return s.simple_query_string(
             spec["query"], spec.get("default_field", "content"), size,
             default_operator=spec.get("default_operator", "or"))
     if kind == "terms_set":
         field, b = _one(spec, "terms_set")
-        return _pick(s, "terms_set_search")(
+        return s.terms_set_search(
             list(b["terms"]), field=field,
             msm_field=b.get("minimum_should_match_field"),
             minimum_should_match=b.get("minimum_should_match"),
@@ -553,13 +534,13 @@ def _exec_query(s, query: dict, size: int,
     if kind == "constant_score":
         inner = spec.get("filter", spec.get("query"))
         _f, text, op = _match_text(inner)
-        return _pick(s, "constant_score")(
+        return s.constant_score(
             text, field=_f, mode=op,
             boost=float(spec.get("boost", 1.0)), k=size)
     if kind == "boosting":
         _pf, ptext, _ = _match_text(spec["positive"])
         _nf, ntext, _ = _match_text(spec["negative"])
-        return _pick(s, "boosting_search")(
+        return s.boosting_search(
             ptext, ntext,
             negative_boost=float(spec.get("negative_boost", 0.5)),
             field=_pf, k=size)
@@ -596,7 +577,7 @@ def _exec_query(s, query: dict, size: int,
                 else:
                     raise ValueError(f"function_score function {fs!r} "
                                      "unsupported")
-        return _pick(s, "function_score")(
+        return s.function_score(
             text, field=_f, functions=functions or None,
             value_field=(None if functions else
                          spec.get("field_value_factor", {}).get("field")),
@@ -607,10 +588,10 @@ def _exec_query(s, query: dict, size: int,
         script = spec["script"]
         src = script["source"] if isinstance(script, dict) else script
         fields = tuple(spec.get("fields", ()))
-        return _pick(s, "script_score_search")(text, src, fields,
-                                               field=_f, k=size)
+        return s.script_score_search(text, src, fields,
+                                     field=_f, k=size)
     if kind == "distance_feature":
-        return _pick(s, "distance_feature_search")(
+        return s.distance_feature_search(
             spec["query_text"] if "query_text" in spec else
             _match_text(spec["query"])[1],
             spec["field"], float(spec["origin"]),
@@ -621,13 +602,13 @@ def _exec_query(s, query: dict, size: int,
         for fn_name in ("saturation", "log", "sigmoid"):
             if fn_name in spec:
                 b = spec[fn_name] or {}
-                return _pick(s, "rank_feature_search")(
+                return s.rank_feature_search(
                     text, spec["field"], function=fn_name,
                     pivot=float(b.get("pivot", 1.0)),
                     scaling=float(b.get("scaling_factor", 1.0)),
                     exponent=float(b.get("exponent", 1.0)),
                     boost=float(spec.get("boost", 1.0)), k=size)
-        return _pick(s, "rank_feature_search")(
+        return s.rank_feature_search(
             text, spec["field"], boost=float(spec.get("boost", 1.0)),
             k=size)
     if kind == "exists":
@@ -639,11 +620,9 @@ def _exec_query(s, query: dict, size: int,
         return s.pinned_search(text, list(spec["ids"]), field=_f,
                                k=size)
     if kind == "more_like_this":
-        fn = _pick(s, "more_like_this")
-        return fn(like_text=spec.get("like"), k=size)
+        return s.more_like_this(like_text=spec.get("like"), k=size)
     if kind.startswith("span_"):
-        fn = _pick(s, "span_query")
-        return [(float(n), d) for n, d in fn(query, k=size)]
+        return [(float(n), d) for n, d in s.span_query(query, k=size)]
     raise ValueError(f"unsupported query node {kind!r}")
 
 
@@ -1842,7 +1821,7 @@ def execute_dsl(searcher, body: dict) -> dict:
                 name = ih.get("name", "inner")
                 per = int(ih.get("size", 3))
                 f, text, op = _match_text(hit_query)
-                groups = dict(_pick(searcher, "top_hits_aggregation")(
+                groups = dict(searcher.top_hits_aggregation(
                     text, cl["field"], field=f,
                     mode="and" if op == "and" else "or",
                     hits_per_bucket=per))
@@ -2002,12 +1981,9 @@ def _dbq_ids(searcher, query: dict):
     import numpy as np
 
     def _per_shard(method: str, kw: dict) -> list:
-        if searcher.use_actors:
-            import ray as _ray
-            parts = _ray.get([a.exec_local.remote(method, kw, None)
-                              for a in searcher.actors])
-            return [int(x) for p in parts for x in p]
-        return [int(x) for x in getattr(searcher, method)(**kw)]
+        from .searcher import _run_method
+        return [int(x) for p in searcher._scatter(_run_method, method, kw)
+                for x in p]
 
     kind, spec = _one(query, "query")
     if kind == "match":

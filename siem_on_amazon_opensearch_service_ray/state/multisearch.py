@@ -12,8 +12,8 @@ summed total_tf, so scores are bit-identical to a single flat index
 over the union corpus (asserted by the ``search_index_pattern``
 oracle against the flat SQL twin).  Only each index's top-k rows
 travel to the coordinator; an index's own doc-sharded actor pool
-keeps working underneath (stats/idf ride the ``exec_local`` override
-channel), so the execution tree is pattern → index → shard with
+keeps working underneath (stats/idf ride the ``_exec_doc_sharded``
+override channel), so the execution tree is pattern → index → shard with
 partial results merging at each level — the OpenSearch
 coordinator/data-node shape.
 
@@ -305,19 +305,8 @@ class MultiSearcher:
         for name, s in self.searchers.items():
             ov = {"n_docs": n,
                   "avgdl": {**s.stats["avgdl"], field: avgdl}}
-            if s.use_actors:
-                hits = s._exec_doc_sharded(method, kwargs, k, idf=idf,
-                                           stats_override=ov,
-                                           field=field)
-            else:
-                old_stats = s.stats
-                s._idf_overrides = idf
-                s.stats = {**old_stats, **ov}
-                try:
-                    hits = getattr(s, method)(**kwargs)
-                finally:
-                    s._idf_overrides = None
-                    s.stats = old_stats
+            hits = s._exec_doc_sharded(method, kwargs, k, idf=idf,
+                                       stats_override=ov, field=field)
             bf = float(boosts.get(name, 1.0)) if boosts else 1.0
             rows.extend((float(sc) * bf, name, int(d))
                         for sc, d in hits)

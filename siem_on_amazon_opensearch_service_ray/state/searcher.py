@@ -9,16 +9,23 @@ postings are sliced across every part.  Execution
    once in ``__init__`` — the actor-pool equivalent of a warm
    OpenSearch shard, SURVEY.md §7.3) return per-part df for the
    analyzed query terms; the driver sums them into global idf,
-2. each actor scores its own parts with that idf through a shard-local
-   ``Searcher`` and returns only its local top-k,
+2. each actor runs the same query method with that idf over its own
+   parts through a shard-local ``Searcher`` and returns only its
+   local top-k,
 3. the driver merges the per-shard top-k.  The scorer is vectorized
    term-at-a-time (OR) or vectorized intersection (AND); block-max
    WAND (Ding & Suel, SIGIR'11) is kept as an explicit
    ``method='wand'`` and is rank-identical (tested).
 
-``Searcher(use_actors=False)`` runs the same query methods in process
-over every part (the shard-local searcher inside a ``PartActor`` is one
-of these, restricted to the actor's parts).
+One scatter path serves every query and aggregation.  A *shard group*
+is a Searcher over a set of parts — an actor's shard-local Searcher,
+or the in-process ``Searcher(use_actors=False)`` itself over every
+part.  Each per-shard partial is one module function
+``fn(group, *args)``; ``Searcher._scatter`` runs it once per group
+and the calling method merges the results.  Scored methods route
+themselves (``_routed``): with actors they name their dfs terms and
+merge, and run through ``_exec_doc_sharded``; in process their body
+runs as written.
 
 Ranking contract (reference: Lucene defaults, BASELINE.md): BM25
 k1=1.2 b=0.75, idf = ln(1+(N-df+0.5)/(df+0.5)), doc length quantized
@@ -34,9 +41,11 @@ generations) are merged (sorted) and re-blocked in memory.
 
 from __future__ import annotations
 
-import heapq
-import math
 import contextlib
+import functools
+import heapq
+import inspect
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -604,7 +613,7 @@ def _dispatch(method: str, terms: list[TermData], k: int, mode: str,
 # driver-gathered set), so filters compose with every agg whose
 # match set flows through them.  Filter specs are hashable tuples —
 # ("kw", field, value | (values...)) or ("range", field, lo, hi) —
-# so they can ride memo keys (count_le_local) unchanged.
+# so they can ride memo keys (_grp_count_le) unchanged.
 _CTX_FILTERS: tuple = ()
 _CTX_PURE = False            # True: the filters ARE the match set
 _CTX_ID_CACHE: dict = {}     # (index_dir, spec, dparts) -> sorted ids
@@ -640,9 +649,7 @@ def ctx_filters(s, filters, pure: bool = False):
         return
     subs = (list(s.searchers.values()) if hasattr(s, "searchers")
             else [s])
-    pools = [x.actors for x in subs
-             if getattr(x, "use_actors", False)
-             and getattr(x, "actors", None)]
+    pools = [x.actors for x in subs if getattr(x, "actors", None)]
     prev = _set_ctx_filters(filters, pure)
     try:
         for pool in pools:
@@ -1872,670 +1879,754 @@ def _composite_partial(index_dir: str, sources: list[str],
 
 
 # ---------------------------------------------------------------------------
+# shard groups: the per-shard partials, one function each
+#
+# A shard group is a Searcher over a set of doc parts: the shard-local
+# Searcher a PartActor owns, or the in-process Searcher itself (every
+# part).  Its readers, tombstones and match-set memos are what the
+# partials below read; ``Searcher._scatter(fn, *args)`` runs
+# ``fn(group, *args)`` once per group and returns the results in
+# group order.  Doc shards partition the corpus, so partials merge by
+# summing (counts) or by (score desc, doc_id asc) (top-k).
+
+
+def _add_counts(dst: dict, src: dict) -> dict:
+    for key, n in src.items():
+        dst[key] = dst.get(key, 0) + n
+    return dst
+
+
+def _add_moments(dst: dict, src: dict) -> dict:
+    """Merge per-bucket (count, sum, min, max) moment dicts."""
+    for key, cur in src.items():
+        prev = dst.get(key)
+        dst[key] = cur if prev is None else (
+            prev[0] + cur[0], prev[1] + cur[1],
+            min(prev[2], cur[2]), max(prev[3], cur[3]))
+    return dst
+
+
+def _merge_topk(lists, k: int) -> list[tuple]:
+    merged = [h for hs in lists for h in hs]
+    merged.sort(key=lambda t: (-t[0], t[1]))
+    return merged[:k]
+
+
+def _live_cands(g, field: str, q_terms: list[str], mode: str):
+    """(part, reader, live match ids) for every part of group ``g``."""
+    for p, r in g.readers.items():
+        cand = _candidate_ids(r, field, q_terms, mode)
+        if cand.size and g.tombstones.size:
+            cand = cand[_excl_mask(cand, g.tombstones)]
+        yield p, r, cand
+
+
+def _range_values(g, field: str, q_terms: list[str], mode: str,
+                  range_field: str) -> np.ndarray:
+    """Matched live ``range_field`` values over the group's parts."""
+    vs = [_shard_range_values(r, p, g.tombstones, field, q_terms, mode,
+                              range_field)
+          for p, r in g.readers.items()]
+    live = [x for x in vs if x.size]
+    return np.concatenate(live) if live else np.zeros(0)
+
+
+def _run_method(g, method: str, kwargs: dict,
+                idf: dict[str, float] | None = None,
+                stats_override: dict | None = None):
+    """Run a Searcher method over ONLY the group's doc shards: global
+    n_docs/avgdl come from the shared manifest, globally-summed idf
+    arrives as ``idf`` (dfs_query_then_fetch round 2) and
+    ``stats_override`` replaces n_docs/avgdl for the call — the
+    cross-INDEX federation channel (MultiSearcher blends stats over
+    every index of a pattern).  Postings never leave the group; only
+    the method's (local top-k) result returns."""
+    g._idf_overrides = idf
+    old_stats = g.stats
+    if stats_override:
+        g.stats = {**old_stats, **stats_override}
+    try:
+        return getattr(g, method)(**kwargs)
+    finally:
+        g._idf_overrides = None
+        g.stats = old_stats
+
+
+def _grp_dfs(g, field: str, terms: list[str]) -> dict[str, int]:
+    """dfs round 1: local df per term, summed over the group's parts."""
+    out: dict[str, int] = {}
+    for r in g.readers.values():
+        for t in terms:
+            d = r.df(field, t)
+            if d:
+                out[t] = out.get(t, 0) + d
+    return out
+
+
+def _grp_rows(g, field: str, terms: list[str]) -> dict[str, list[tuple]]:
+    """Raw postings rows of ``terms`` from every part of the group (a
+    term's postings are sliced across all doc shards)."""
+    out: dict[str, list[tuple]] = {}
+    for r in g.readers.values():
+        for t in terms:
+            rows = r.raw_rows(field, t)
+            if rows:
+                out.setdefault(t, []).extend(rows)
+    return out
+
+
+def _grp_match_terms(g, field: str, pattern: str, kind: str,
+                     fuzziness: int, transpositions: bool,
+                     prefix: str) -> set[str]:
+    """Term-dictionary probe (prefix / wildcard / fuzzy expansion runs
+    where the dictionaries live; only matching term strings travel)."""
+    out: set[str] = set()
+    for r in g.readers.values():
+        out.update(r.match_terms(field, pattern, kind, fuzziness,
+                                 transpositions, prefix))
+    return out
+
+
+def _grp_terms(g, field: str, q_terms: list[str], mode: str,
+               agg_field: str) -> dict[str, int]:
+    """terms-agg partial: per-part match set against the part's OWN
+    filter postings; no doc id leaves its shard."""
+    out: dict[str, int] = {}
+    for p, _r, cand in _live_cands(g, field, q_terms, mode):
+        if cand.size:
+            _add_counts(out, dict(_count_filter_values(
+                g.index_dir, agg_field, cand, dparts=[p])))
+    return out
+
+
+def _grp_multi_terms(g, field: str, q_terms: list[str], mode: str,
+                     fa: str, fb: str) -> dict[tuple[str, str], int]:
+    out: dict[tuple[str, str], int] = {}
+    for p, _r, cand in _live_cands(g, field, q_terms, mode):
+        _add_counts(out, _multi_terms_partial(g.index_dir, fa, fb, cand,
+                                              dparts=[p]))
+    return out
+
+
+def _grp_geo_distance(g, field: str, q_terms: list[str], mode: str,
+                      lat_field: str, lon_field: str, olat: float,
+                      olon: float,
+                      ranges: list[tuple[float | None, float | None]]
+                      ) -> list[int]:
+    out = [0] * len(ranges)
+    for p, _r, cand in _live_cands(g, field, q_terms, mode):
+        for i, n in enumerate(_geo_distance_partial(
+                g.index_dir, cand, lat_field, lon_field, olat, olon,
+                ranges, dparts=[p])):
+            out[i] += n
+    return out
+
+
+def _grp_geotile(g, field: str, q_terms: list[str], mode: str,
+                 lat_field: str, lon_field: str, precision: int,
+                 scheme: str) -> dict[str, int]:
+    part_fn = _geotile_partial if scheme == "geotile" else _geohash_partial
+    out: dict[str, int] = {}
+    for p, _r, cand in _live_cands(g, field, q_terms, mode):
+        _add_counts(out, part_fn(g.index_dir, cand, lat_field, lon_field,
+                                 precision, dparts=[p]))
+    return out
+
+
+def _grp_scripted(g, field: str, q_terms: list[str], mode: str,
+                  fields: tuple[str, ...], map_expr: str
+                  ) -> tuple[int, float]:
+    n_tot, s_tot = 0, 0.0
+    for p, _r, cand in _live_cands(g, field, q_terms, mode):
+        n, s = _scripted_partial(g.index_dir, cand, fields, map_expr,
+                                 dparts=[p])
+        n_tot += n
+        s_tot += s
+    return n_tot, s_tot
+
+
+def _grp_string_stats(g, field: str, q_terms: list[str], mode: str,
+                      agg_field: str) -> dict:
+    return _merge_string_stats([
+        _string_stats_partial(g.index_dir, agg_field, cand, dparts=[p])
+        for p, _r, cand in _live_cands(g, field, q_terms, mode)])
+
+
+def _grp_geo_bounds(g, field: str, q_terms: list[str], mode: str,
+                    lat_field: str, lon_field: str) -> dict:
+    return _merge_geo_bounds([
+        _geo_bounds_partial(g.index_dir, cand, lat_field, lon_field,
+                            dparts=[p])
+        for p, _r, cand in _live_cands(g, field, q_terms, mode)])
+
+
+def _grp_exists(g, field_name: str, k: int | None) -> np.ndarray:
+    """The group's first-k live presence ids (doc ranges are disjoint
+    across groups, so a sort-merge of the partials is the exact global
+    first-k)."""
+    return _exists_ids(g.index_dir, field_name, k, sorted(g.readers),
+                       g.tombstones)
+
+
+def _grp_sampler(g, field: str, q_terms: list[str], shard_size: int,
+                 agg_field: str, diversify_field: str | None,
+                 max_per_value: int, idf: dict[str, float], n_docs: int,
+                 avgdl: float, k1: float, b: float) -> dict[str, int]:
+    """sampler partial: per PART (the sample is a property of the
+    shard, stable under pool size), best-shard_size docs -> sub-agg
+    counts."""
+    out: dict[str, int] = {}
+    for p, r in g.readers.items():
+        _add_counts(out, _sampler_partial(
+            r, p, g.tombstones, field, q_terms, shard_size, agg_field,
+            diversify_field, max_per_value, idf, n_docs, avgdl, k1, b))
+    return out
+
+
+def _grp_sig_text(g, field: str, q_terms: list[str], mode: str,
+                  text_field: str, max_terms: int
+                  ) -> tuple[dict[str, int], dict[str, int], int]:
+    """significant_text partial: (fg, df, fg_size) summed over the
+    group's parts (each doc shard holds the full postings of its own
+    docs, so per-shard term scans sum exactly)."""
+    fg: dict[str, int] = {}
+    df: dict[str, int] = {}
+    n_cand = 0
+    for p, r in g.readers.items():
+        f, d, n = _sig_text_partial(r, p, g.tombstones, field, q_terms,
+                                    mode, text_field, max_terms)
+        n_cand += n
+        _add_counts(fg, f)
+        _add_counts(df, d)
+    return fg, df, n_cand
+
+
+def _grp_comoments(g, field: str, q_terms: list[str], mode: str,
+                   f1: str, f2: str) -> dict:
+    tot = {"n": 0, "sx": 0.0, "sy": 0.0, "sxx": 0.0, "syy": 0.0,
+           "sxy": 0.0}
+    for p, r in g.readers.items():
+        _add_counts(tot, _shard_comoments(r, p, g.tombstones, field,
+                                          q_terms, mode, f1, f2))
+    return tot
+
+
+def _grp_hist(g, field: str, q_terms: list[str], mode: str,
+              range_field: str, interval: float, offset: float
+              ) -> dict[float, int]:
+    out: dict[float, int] = {}
+    for p, r in g.readers.items():
+        v = _shard_range_values(r, p, g.tombstones, field, q_terms, mode,
+                                range_field)
+        if v.size:
+            bv = np.floor((v - offset) / interval) * interval + offset
+            u, c = np.unique(bv, return_counts=True)
+            _add_counts(out, {float(x): int(n) for x, n in zip(u, c)})
+    return out
+
+
+def _grp_range(g, field: str, q_terms: list[str], mode: str,
+               range_field: str,
+               ranges: list[tuple[float | None, float | None]]
+               ) -> list[int]:
+    out = [0] * len(ranges)
+    for p, r in g.readers.items():
+        v = _shard_range_values(r, p, g.tombstones, field, q_terms, mode,
+                                range_field)
+        if v.size:
+            for i, n in enumerate(_range_bucket_counts(v, ranges)):
+                out[i] += n
+    return out
+
+
+def _grp_count(g, field: str, q_terms: list[str], mode: str) -> int:
+    return sum(int(cand.size)
+               for _p, _r, cand in _live_cands(g, field, q_terms, mode))
+
+
+def _grp_filters_union(g, field: str,
+                       specs: list[tuple[list[str], str]]) -> int:
+    """other_bucket partial: size of the UNION of the named filters'
+    live match sets within the group's parts."""
+    return sum(_filters_union_size(r, field, specs, g.tombstones)
+               for r in g.readers.values())
+
+
+def _grp_adjacency(g, field: str, specs: list[tuple[str, list[str], str]]
+                   ) -> dict[str, int]:
+    """adjacency_matrix partial: singles and pairwise intersection
+    counts of the named filters' match sets, per part."""
+    out: dict[str, int] = {}
+    for r in g.readers.values():
+        cands = []
+        for name, q_terms, mode in specs:
+            cand = _candidate_ids(r, field, q_terms, mode)
+            if cand.size and g.tombstones.size:
+                cand = cand[_excl_mask(cand, g.tombstones)]
+            cands.append((name, cand))
+        for i, (a, ca) in enumerate(cands):
+            if ca.size:
+                out[a] = out.get(a, 0) + int(ca.size)
+            for b, cb in cands[i + 1:]:
+                n = int(np.intersect1d(ca, cb, assume_unique=True).size)
+                if n:
+                    out[f"{a}&{b}"] = out.get(f"{a}&{b}", 0) + n
+    return out
+
+
+def _grp_presence(g, field: str, q_terms: list[str], mode: str,
+                  agg_field: str, is_range: bool) -> tuple[int, int]:
+    """value_count/missing partial: (matched docs carrying
+    ``agg_field``, matched docs total)."""
+    w = n = 0
+    for p, _r, cand in _live_cands(g, field, q_terms, mode):
+        if cand.size:
+            n += int(cand.size)
+            w += _count_presence(g.index_dir, agg_field, cand,
+                                 dparts=[p], is_range=is_range)
+    return w, n
+
+
+def _grp_context_dfs(g, field: str, terms: list[str], context_field: str,
+                     context_value: str) -> dict[str, int]:
+    """Context-suggester partial: per candidate term, the group's live
+    doc count within the keyword context."""
+    out: dict[str, int] = {}
+    for p, r in g.readers.items():
+        filt = r.filter_docs(context_field, context_value, dparts=[p])
+        if filt.size == 0:
+            continue
+        for t in terms:
+            cand = _candidate_ids(r, field, [t], "or")
+            if cand.size and g.tombstones.size:
+                cand = cand[_excl_mask(cand, g.tombstones)]
+            if cand.size == 0:
+                continue
+            pos = np.minimum(np.searchsorted(filt, cand), filt.size - 1)
+            n = int(np.count_nonzero(filt[pos] == cand))
+            if n:
+                out[t] = out.get(t, 0) + n
+    return out
+
+
+def _grp_sort(g, sort_field: str, k: int, desc: bool, field: str,
+              q_terms: list[str] | None, mode: str,
+              filter_field: str | None, filter_value: str | None,
+              after: tuple | None) -> list[tuple]:
+    """Field-sorted search partial: each part's local top-k
+    (value, doc_id) under the (optionally filtered) match set,
+    selected by boundary bisect on the value-sorted range tables."""
+    out: list[tuple] = []
+    for p, r in g.readers.items():
+        cand = None
+        if q_terms is not None:
+            cand = _candidate_ids(r, field, q_terms, mode)
+            if cand.size == 0:
+                continue
+        if filter_field is not None:
+            f = r.filter_docs(filter_field, filter_value, dparts=[p])
+            cand = f if cand is None else \
+                cand[np.isin(cand, f, assume_unique=True)]
+            if cand.size == 0:
+                continue
+        out.extend(_field_sort_partials(
+            g.index_dir, sort_field, k, desc, cand, g.tombstones,
+            dparts=[p], after=after))
+    out.sort(key=(lambda t: (-t[0], t[1])) if desc
+             else (lambda t: (t[0], t[1])))
+    return out[:k]
+
+
+def _grp_composite(g, sources: list[str], field: str,
+                   q_terms: list[str] | None, mode: str
+                   ) -> dict[tuple, int]:
+    """composite partial (q_terms None = every live doc carrying all
+    source fields)."""
+    out: dict[tuple, int] = {}
+    for p, r in g.readers.items():
+        cand = (None if q_terms is None
+                else _candidate_ids(r, field, q_terms, mode))
+        _add_counts(out, _composite_partial(g.index_dir, sources, cand,
+                                            g.tombstones, dparts=[p]))
+    return out
+
+
+def _grp_terms_hist(g, field: str, q_terms: list[str], mode: str,
+                    agg_field: str, range_field: str, interval: float
+                    ) -> dict[tuple[str, float], int]:
+    out: dict[tuple[str, float], int] = {}
+    for p, _r, cand in _live_cands(g, field, q_terms, mode):
+        _add_counts(out, _terms_hist_partial(g.index_dir, agg_field,
+                                             range_field, interval, cand,
+                                             dparts=[p]))
+    return out
+
+
+def _grp_group_stats(g, field: str, q_terms: list[str], mode: str,
+                     agg_field: str, range_field: str
+                     ) -> dict[str, tuple[int, float, float, float]]:
+    out: dict[str, tuple[int, float, float, float]] = {}
+    for p, _r, cand in _live_cands(g, field, q_terms, mode):
+        _add_moments(out, _group_stats_partial(
+            g.index_dir, agg_field, range_field, cand, dparts=[p]))
+    return out
+
+
+def _grp_hist_stats(g, field: str, q_terms: list[str], mode: str,
+                    bucket_field: str, interval: float, metric_field: str
+                    ) -> dict[float, tuple[int, float, float, float]]:
+    out: dict[float, tuple[int, float, float, float]] = {}
+    for p, _r, cand in _live_cands(g, field, q_terms, mode):
+        _add_moments(out, _hist_stats_partial(
+            g.index_dir, bucket_field, interval, metric_field, cand,
+            dparts=[p]))
+    return out
+
+
+def _grp_stats(g, field: str, q_terms: list[str], mode: str,
+               range_field: str, quantile_mode: str = "none") -> dict:
+    """stats partial: exact mergeable moments; for quantiles,
+    ``exact`` ships the raw matched values while ``tdigest`` ships an
+    O(delta) centroid partial (OpenSearch percentiles parity: t-digest
+    per shard)."""
+    v = _range_values(g, field, q_terms, mode, range_field)
+    if v.size == 0:
+        return {"count": 0}
+    # sum_sq rides along for extended_stats (variance/std_dev are
+    # driver-derivable from the same mergeable moments)
+    out = {"count": int(v.size), "min": float(v.min()),
+           "max": float(v.max()), "sum": float(v.sum()),
+           "sum_sq": float(np.square(v).sum())}
+    if quantile_mode == "exact":
+        out["values"] = v
+    elif quantile_mode == "tdigest":
+        from ..stages.sketches import TDigest
+        td = TDigest()
+        td.add(v)
+        out["digest"] = td.to_arrays()
+    return out
+
+
+def _memo(memo: dict, key: tuple, make):
+    v = memo.get(key)
+    if v is None:
+        if len(memo) >= 32:
+            memo.clear()
+        v = memo[key] = make()
+    return v
+
+
+def _matched_sorted(g, field: str, q_terms: list[str], mode: str,
+                    range_field: str) -> np.ndarray:
+    """Sorted matched values of ``range_field`` over the group's parts,
+    memoized per (field, terms, mode, range_field, ambient filters):
+    one match-set computation serves every probe round of a
+    distributed selection."""
+    key = (field, tuple(q_terms), mode, range_field, _CTX_FILTERS,
+           _CTX_PURE)
+    return _memo(g.cle_memo, key, lambda: np.sort(
+        _range_values(g, field, q_terms, mode, range_field)))
+
+
+def _grp_count_le(g, field: str, q_terms: list[str], mode: str,
+                  range_field: str, probes: list[float]) -> list[int]:
+    """Distributed-exact percentile partial: count of the group's
+    MATCHED values <= each probe — only len(probes) ints travel, no
+    matched value ever leaves the shard."""
+    v = _matched_sorted(g, field, q_terms, mode, range_field)
+    return np.searchsorted(v, np.asarray(probes, dtype=np.float64),
+                           side="right").tolist()
+
+
+def _grp_sum_le(g, field: str, q_terms: list[str], mode: str,
+                range_field: str, probes: list[float]) -> list[float]:
+    """Companion partial for range-sum selections (the
+    variable_width_histogram cluster sums): SUM of the group's matched
+    values <= each probe, off the same memoized sorted array."""
+    v = _matched_sorted(g, field, q_terms, mode, range_field)
+    key = (field, tuple(q_terms), mode, range_field, _CTX_FILTERS,
+           _CTX_PURE)
+    cs = _memo(g.sle_memo, key,
+               lambda: np.concatenate(([0.0], np.cumsum(v))))
+    idx = np.searchsorted(v, np.asarray(probes, dtype=np.float64),
+                          side="right")
+    return cs[idx].tolist()
+
+
+def _grp_count_dev_le(g, field: str, q_terms: list[str], mode: str,
+                      range_field: str, center: float,
+                      probes: list[float]) -> list[int]:
+    """MAD partial: count of the group's matched DEVIATIONS
+    ``fl(|x - center|)`` <= each probe — the transform happens
+    shard-side in the SAME float arithmetic the reference
+    (np.median of np.abs(v - med)) uses, so the deviation-median
+    bisection is exact by construction (probing
+    ``count(x <= fl(center+d))`` instead would quantize the answer at
+    ulp(center), wrong whenever |center| >> spread)."""
+    key = (field, tuple(q_terms), mode, range_field, float(center),
+           _CTX_FILTERS, _CTX_PURE)
+    v = _memo(g.cle_memo, key, lambda: np.sort(np.abs(
+        _range_values(g, field, q_terms, mode, range_field) - center)))
+    return np.searchsorted(v, np.asarray(probes, dtype=np.float64),
+                           side="right").tolist()
+
+
+# ---------------------------------------------------------------------------
 # actors + driver
 
 
 @ray.remote
 class PartActor:
     """A warm shard-group actor: owns a RANGE of doc partitions, each
-    loaded once in __init__ (SURVEY §7.3).  On a multi-node cluster the
-    pool spreads part ranges across nodes; locally the pool size is
-    min(P, cpus) so P can be large (shard granularity) without P
-    actors."""
+    loaded once in __init__ (SURVEY §7.3), behind one shard-local
+    Searcher — its shard group.  Every query and agg partial reaches
+    the group through :meth:`run`; the other methods are lifecycle.
+    On a multi-node cluster the pool spreads part ranges across
+    nodes; locally the pool size is min(P, cpus) so P can be large
+    (shard granularity) without P actors."""
 
     def __init__(self, index_dir: str, parts: list[int]):
-        from .shard import load_tombstones
-        self.index_dir = index_dir
-        self.readers = {p: ShardReader(index_dir, p) for p in parts}
-        self.tombstones = load_tombstones(index_dir)
-        # lazily-built shard-local Searcher for exec_local
-        self._local: "Searcher | None" = None
-        # sorted matched-values memo for the distributed-exact
-        # percentile protocol: one match-set computation serves every
-        # count_le probe round of a selection (+ prefix sums for the
-        # sum_le companion)
-        self._cle_memo: dict[tuple, np.ndarray] = {}
-        self._sle_memo: dict[tuple, np.ndarray] = {}
+        self.group = Searcher(index_dir, _readers={
+            p: ShardReader(index_dir, p) for p in parts})
+
+    def ping(self) -> bool:
+        return True
 
     def refresh_tombstones(self) -> int:
         """Reload tombstones from disk after a delete (the
         delete-by-query refresh): the warm readers stay, only the
         exclusion set and the match-set memos reset."""
-        from .shard import load_tombstones
-        return self.set_tombstones(load_tombstones(self.index_dir))
+        return self.group.refresh_tombstones()
 
     def set_tombstones(self, ids: np.ndarray) -> int:
         """Install an explicit exclusion set (the Searcher-side PIT
         broadcast); same cache hygiene as a disk refresh."""
-        self.tombstones = np.asarray(ids, dtype=np.uint64)
-        self._cle_memo.clear()
-        self._sle_memo.clear()
-        if self._local is not None:
-            self._local.tombstones = self.tombstones
-            self._local._filter_cache.clear()
-            self._local._rows_cache.clear()
-        return int(self.tombstones.size)
-
-    def get_terms_all(self, field: str, terms: list[str]
-                      ) -> dict[str, list[tuple]]:
-        """Postings for ``terms`` from EVERY part this actor owns —
-        the doc-partitioned gather (a term's postings are sliced
-        across all doc shards)."""
-        out: dict[str, list[tuple]] = {}
-        for r in self.readers.values():
-            for t in terms:
-                rows = r.raw_rows(field, t)
-                if rows:
-                    out.setdefault(t, []).extend(rows)
-        return out
-
-    def exec_local(self, method: str, kwargs: dict,
-                   idf_by_term: dict[str, float] | None = None,
-                   stats_override: dict | None = None):
-        """Run any Searcher query method against ONLY this actor's doc
-        shards (doc-partitioned layout): a shard-local Searcher adopts
-        the warm readers, global n_docs/avgdl come from the shared
-        manifest, and globally-summed idf arrives via
-        ``idf_by_term`` (dfs_query_then_fetch round 2).
-        ``stats_override`` replaces n_docs/avgdl for the call — the
-        cross-INDEX federation channel (MultiSearcher blends stats
-        over every index of a pattern, so each index's shards score
-        with pattern-global norms).  Postings never leave the actor —
-        only the local top-k rows return."""
-        if self._local is None:
-            self._local = Searcher(self.index_dir, _readers=self.readers)
-        ls = self._local
-        ls._idf_overrides = idf_by_term
-        old_stats = ls.stats
-        if stats_override:
-            ls.stats = {**old_stats, **stats_override}
-        try:
-            return getattr(ls, method)(**kwargs)
-        finally:
-            ls._idf_overrides = None
-            ls.stats = old_stats
-
-    def ping(self) -> bool:
-        return True
+        return self.group.set_tombstones_override(ids)
 
     def set_ctx_filters(self, filters, pure: bool = False) -> bool:
         """Install (or clear, with None) the aggregation-context
         filters in this actor's process — broadcast by the driver
         around one filtered-agg request (same discipline as
-        refresh_tombstones).  count_le memo keys carry the filters,
-        so no memo invalidation is needed."""
+        refresh_tombstones).  Memo keys carry the filters, so no memo
+        invalidation is needed."""
         _set_ctx_filters(filters, pure)
         return True
 
-    def match_terms(self, field: str, pattern: str, kind: str,
-                    fuzziness: int = 0,
-                    transpositions: bool = False,
-                    prefix: str = "") -> list[str]:
-        """Term-dictionary probe over this actor's parts (prefix /
-        wildcard / fuzzy expansion happens where the dictionaries
-        live — only the matching term STRINGS travel to the driver)."""
-        out: set[str] = set()
-        for r in self.readers.values():
-            out.update(r.match_terms(field, pattern, kind, fuzziness,
-                                     transpositions, prefix))
-        return sorted(out)
+    def run(self, fn, *args):
+        """``fn(group, *args)`` on this actor's shard group."""
+        return fn(self.group, *args)
 
-    def agg_local(self, field: str, q_terms: list[str], mode: str,
-                  agg_field: str) -> dict[str, int]:
-        """Doc-sharded terms aggregation: per-shard match set against
-        the shard's OWN filter part — partial counts sum at the
-        driver; no doc id ever leaves its shard."""
-        out: dict[str, int] = {}
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            if cand.size == 0:
-                continue
-            for v, n in _count_filter_values(
-                    r.index_dir, agg_field, cand, dparts=[p]):
-                out[v] = out.get(v, 0) + n
-        return out
 
-    def multi_terms_local(self, field: str, q_terms: list[str], mode: str,
-                          fa: str, fb: str) -> dict[tuple[str, str], int]:
-        """Doc-sharded multi_terms partial: per (fa, fb) value pair,
-        this actor's shard-local match counts — only the tiny pair
-        dict travels to the driver."""
-        out: dict[tuple[str, str], int] = {}
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            for kv, n in _multi_terms_partial(r.index_dir, fa, fb, cand,
-                                              dparts=[p]).items():
-                out[kv] = out.get(kv, 0) + n
-        return out
+# ---------------------------------------------------------------------------
+# scored-query routing (dfs_query_then_fetch; SURVEY §7.1)
+#
+# On an actor-pool Searcher a scored node runs per doc shard, the way
+# OpenSearch executes queries (3 doc shards, command_index.txt:8):
+# round 1 sums per-shard df into global idf, round 2 runs the SAME
+# method body on every shard group over only its doc slice, and the
+# driver merges the groups' results.  Doc shards are disjoint, so the
+# merged top-k is exact.  In process — and on every shard-local
+# Searcher — the body runs as written.
 
-    def geo_distance_local(self, field: str, q_terms: list[str], mode: str,
-                           lat_field: str, lon_field: str,
-                           olat: float, olon: float,
-                           ranges: list[tuple[float | None, float | None]]
-                           ) -> list[int]:
-        """Doc-sharded geo_distance partial: per-ring counts over this
-        actor's doc parts — len(ranges) ints travel."""
-        out = [0] * len(ranges)
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            for i, n in enumerate(_geo_distance_partial(
-                    r.index_dir, cand, lat_field, lon_field, olat, olon,
-                    ranges, dparts=[p])):
-                out[i] += n
-        return out
 
-    def scripted_local(self, field: str, q_terms: list[str], mode: str,
-                       fields: tuple[str, ...], map_expr: str
-                       ) -> tuple[int, float]:
-        """Doc-sharded scripted_metric partial: (count, sum) over this
-        actor's doc parts."""
-        n_tot, s_tot = 0, 0.0
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            n, s = _scripted_partial(r.index_dir, cand, fields, map_expr,
-                                     dparts=[p])
-            n_tot += n
-            s_tot += s
-        return n_tot, s_tot
+def _routed(plan, merge=None):
+    """Route a scored Searcher method through
+    :meth:`Searcher._exec_doc_sharded` when the Searcher has actors.
+    ``plan(searcher, kw)`` gets the call's bound arguments and returns
+    ``(shard_kwargs, dfs_terms)`` — the terms whose global idf the dfs
+    round computes over ``kw['field']`` (None: no dfs round) — or
+    None to run the body on the driver (nothing to scatter, or a body
+    that composes other routed methods).  ``merge(results, kw)``
+    reduces the per-group results; the default is the top ``kw['k']``
+    by (score desc, doc_id asc)."""
+    def deco(body):
+        sig = inspect.signature(body)
 
-    def exists_local(self, field_name: str, k: int | None
-                     ) -> np.ndarray:
-        """Doc-sharded exists partial: this actor's own parts' first-k
-        live presence ids (doc ranges are disjoint across shards, so
-        the driver's sort-merge of P×k ids is the exact global
-        first-k)."""
-        return _exists_ids(self.index_dir, field_name, k,
-                           sorted(self.readers), self.tombstones)
+        @functools.wraps(body)
+        def method(self, *args, **kwargs):
+            if not self.use_actors:
+                return body(self, *args, **kwargs)
+            bound = sig.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            kw = dict(bound.arguments)
+            del kw["self"]
+            planned = plan(self, kw)
+            if planned is None:
+                return body(self, *args, **kwargs)
+            shard_kw, terms = planned
+            return self._exec_doc_sharded(
+                body.__name__, shard_kw, kw["k"], idf_terms=terms,
+                field=kw.get("field", "content"),
+                merge=None if merge is None else (lambda rs: merge(rs, kw)))
+        return method
+    return deco
 
-    def string_stats_local(self, field: str, q_terms: list[str],
-                           mode: str, agg_field: str) -> dict:
-        """Doc-sharded string_stats partial (length stats + char
-        counter, both mergeable)."""
-        parts = []
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            parts.append(_string_stats_partial(r.index_dir, agg_field,
-                                               cand, dparts=[p]))
-        return _merge_string_stats(parts)
 
-    def geo_bounds_local(self, field: str, q_terms: list[str], mode: str,
-                         lat_field: str, lon_field: str) -> dict:
-        """Doc-sharded geo_bounds/centroid partial (seven numbers)."""
-        parts = []
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            parts.append(_geo_bounds_partial(r.index_dir, cand, lat_field,
-                                             lon_field, dparts=[p]))
-        return _merge_geo_bounds(parts)
+def _dfs_on(arg: str):
+    """Plan: global idf for the field analyzer's tokens of ``kw[arg]``
+    (empty analysis runs the body on the driver, which returns early)."""
+    def plan(s, kw):
+        toks = ANALYZERS[s._analyzer_for(kw["field"], kw.get("analyzer"))](
+            kw[arg])
+        return (kw, toks) if toks else None
+    return plan
 
-    def geotile_local(self, field: str, q_terms: list[str], mode: str,
-                      lat_field: str, lon_field: str, precision: int,
-                      scheme: str = "geotile") -> dict[str, int]:
-        """Doc-sharded geotile_grid / geohash_grid partial: per-cell
-        counts over this actor's doc parts."""
-        part_fn = (_geotile_partial if scheme == "geotile"
-                   else _geohash_partial)
-        out: dict[str, int] = {}
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            for k, n in part_fn(r.index_dir, cand, lat_field,
-                                lon_field, precision,
-                                dparts=[p]).items():
-                out[k] = out.get(k, 0) + n
-        return out
 
-    def sampler_local(self, field: str, q_terms: list[str],
-                      shard_size: int, agg_field: str,
-                      diversify_field: str | None, max_per_value: int,
-                      idf: dict[str, float], n_docs: int, avgdl: float,
-                      k1: float, b: float) -> dict[str, int]:
-        """Doc-sharded sampler partial: per PART (not per actor — the
-        sample is a property of the shard, stable under pool size),
-        best-shard_size docs -> sub-agg counts, summed here."""
-        out: dict[str, int] = {}
-        for p, r in self.readers.items():
-            for v, n in _sampler_partial(
-                    r, p, self.tombstones, field, q_terms, shard_size,
-                    agg_field, diversify_field, max_per_value, idf,
-                    n_docs, avgdl, k1, b).items():
-                out[v] = out.get(v, 0) + n
-        return out
+def _no_dfs(s, kw):
+    """Plan: per-doc quantities only (positions, constant scores,
+    vectors) — no dfs round."""
+    return kw, None
 
-    def sig_text_local(self, field: str, q_terms: list[str], mode: str,
-                       text_field: str, max_terms: int
-                       ) -> tuple[dict[str, int], dict[str, int], int]:
-        """Doc-sharded significant_text partial: merged (fg, df,
-        fg_size) over this actor's doc parts (each doc shard holds the
-        full postings of its own docs, so per-shard term scans sum
-        exactly)."""
-        fg: dict[str, int] = {}
-        df: dict[str, int] = {}
-        n_cand = 0
-        for p, r in self.readers.items():
-            f, d, n = _sig_text_partial(r, p, self.tombstones, field,
-                                        q_terms, mode, text_field,
-                                        max_terms)
-            n_cand += n
-            for t, x in f.items():
-                fg[t] = fg.get(t, 0) + x
-            for t, x in d.items():
-                df[t] = df.get(t, 0) + x
-        return fg, df, n_cand
 
-    def comoments_local(self, field: str, q_terms: list[str], mode: str,
-                        f1: str, f2: str) -> dict:
-        """Doc-sharded co-moment partial (matrix_stats /
-        weighted_avg): six mergeable sums per actor, computed over
-        this actor's own doc parts."""
-        tot = {"n": 0, "sx": 0.0, "sy": 0.0,
-               "sxx": 0.0, "syy": 0.0, "sxy": 0.0}
-        for p, r in self.readers.items():
-            part = _shard_comoments(r, p, self.tombstones, field,
-                                    q_terms, mode, f1, f2)
-            for k in tot:
-                tot[k] += part[k]
-        return tot
+def _plan_bool(s, kw):
+    an = ANALYZERS[s._analyzer_for(kw["field"], kw["analyzer"])]
+    toks = [t for x in (kw["must"] or []) + (kw["should"] or [])
+            for t in an(x)]
+    return (kw, toks) if toks else None
 
-    def hist_local(self, field: str, q_terms: list[str], mode: str,
-                   range_field: str, interval: float,
-                   offset: float = 0.0) -> dict[float, int]:
-        """Doc-sharded histogram partial: per-shard bucket counts —
-        only the tiny bucket dict travels to the driver."""
-        out: dict[float, int] = {}
-        for p, r in self.readers.items():
-            v = _shard_range_values(r, p, self.tombstones, field, q_terms,
-                                    mode, range_field)
-            if v.size:
-                b = np.floor((v - offset) / interval) * interval + offset
-                u, c = np.unique(b, return_counts=True)
-                for bv, n in zip(u, c):
-                    out[float(bv)] = out.get(float(bv), 0) + int(n)
-        return out
 
-    def range_local(self, field: str, q_terms: list[str], mode: str,
-                    range_field: str,
-                    ranges: list[tuple[float | None, float | None]]
-                    ) -> list[int]:
-        """Doc-sharded range-agg partial: per-shard per-bucket counts
-        — only len(ranges) ints travel to the driver."""
-        out = [0] * len(ranges)
-        for p, r in self.readers.items():
-            v = _shard_range_values(r, p, self.tombstones, field, q_terms,
-                                    mode, range_field)
-            if v.size:
-                for i, n in enumerate(_range_bucket_counts(v, ranges)):
-                    out[i] += n
-        return out
+def _plan_phrase_scored(s, kw):
+    toks, _ = POSITIONAL_ANALYZERS[
+        s._analyzer_for(kw["field"], kw["analyzer"])](kw["query"])
+    return kw, toks
 
-    def count_local(self, field: str, q_terms: list[str], mode: str) -> int:
-        """Doc-sharded match-set count (filters-agg partial)."""
-        n = 0
-        for r in self.readers.values():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            n += int(cand.size)
-        return n
 
-    def filters_union_local(self, field: str,
-                            specs: list[tuple[list[str], str]]) -> int:
-        """Doc-sharded other_bucket partial: size of the UNION of the
-        named filters' live match sets within this actor's doc parts
-        (disjoint doc ranges — the driver just sums the ints)."""
-        return sum(_filters_union_size(r, field, specs, self.tombstones)
-                   for r in self.readers.values())
+def _plan_terms(s, kw):
+    """Plan: global idf for the already-analyzed ``kw['terms']``."""
+    return (kw, list(kw["terms"])) if kw["terms"] else None
 
-    def adjacency_local(self, field: str,
-                        specs: list[tuple[str, list[str], str]]
-                        ) -> dict[str, int]:
-        """Doc-sharded adjacency_matrix partial: singles and pairwise
-        intersection counts of the named filters' match sets within
-        this actor's doc parts.  Doc ranges are disjoint across
-        shards, so the driver just sums — only the tiny count dict
-        travels."""
-        out: dict[str, int] = {}
-        for r in self.readers.values():
-            cands = []
-            for name, q_terms, mode in specs:
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                cands.append((name, cand))
-            for i, (a, ca) in enumerate(cands):
-                if ca.size:
-                    out[a] = out.get(a, 0) + int(ca.size)
-                for b, cb in cands[i + 1:]:
-                    n = int(np.intersect1d(ca, cb,
-                                           assume_unique=True).size)
-                    if n:
-                        key = f"{a}&{b}"
-                        out[key] = out.get(key, 0) + n
-        return out
 
-    def presence_local(self, field: str, q_terms: list[str], mode: str,
-                       agg_field: str, is_range: bool = False
-                       ) -> tuple[int, int]:
-        """Doc-sharded value_count/missing partial: (matched docs
-        carrying ``agg_field``, matched docs total) over this actor's
-        shards — two ints travel per shard group, never a value
-        census or a doc id.  ``is_range`` selects the range-table
-        presence read (numeric fields) over the filter postings."""
-        w = n = 0
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            if cand.size == 0:
-                continue
-            n += int(cand.size)
-            w += _count_presence(r.index_dir, agg_field, cand,
-                                 dparts=[p], is_range=is_range)
-        return w, n
+def _plan_function_score(s, kw):
+    # spec errors surface driver-side before any scatter
+    if kw["boost_mode"] not in ("multiply", "sum", "avg", "min", "max",
+                                "replace"):
+        raise ValueError(f"unsupported boost_mode {kw['boost_mode']!r}")
+    if kw["score_mode"] not in ("multiply", "sum", "avg", "min", "max"):
+        raise ValueError(f"unsupported score_mode {kw['score_mode']!r}")
+    if kw["functions"] is None and kw["value_field"] is None:
+        raise ValueError("function_score field_value_factor needs "
+                         "value_field")
+    if kw["functions"] is not None and not kw["functions"]:
+        raise ValueError("function_score needs at least one function")
+    return _dfs_on("query")(s, kw)
 
-    def context_dfs_local(self, field: str, terms: list[str],
-                          context_field: str, context_value: str
-                          ) -> dict[str, int]:
-        """Context-suggester partial: per candidate term, this shard
-        group's live doc count within the keyword context — postings
-        meet the filter part where both live; only (term, count)
-        pairs travel."""
-        out: dict[str, int] = {}
-        for p, r in self.readers.items():
-            filt = r.filter_docs(context_field, context_value,
-                                 dparts=[p])
-            if filt.size == 0:
-                continue
-            for t in terms:
-                cand = _candidate_ids(r, field, [t], "or")
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                if cand.size == 0:
-                    continue
-                pos = np.minimum(np.searchsorted(filt, cand),
-                                 filt.size - 1)
-                n = int(np.count_nonzero(filt[pos] == cand))
-                if n:
-                    out[t] = out.get(t, 0) + n
-        return out
 
-    def sort_local(self, sort_field: str, k: int, desc: bool,
-                   field: str, q_terms: list[str] | None, mode: str,
-                   filter_field: str | None, filter_value: str | None,
-                   after: tuple | None = None) -> list[tuple]:
-        """Doc-sharded field-sorted search partial (Discover's sort):
-        each shard's local top-k (value, doc_id) under the
-        (optionally kuery-filtered) match set — k rows travel per
-        shard group, selected by boundary bisect on the value-sorted
-        range tables, never a per-shard sort."""
-        out: list[tuple] = []
-        for p, r in self.readers.items():
-            cand = None
-            if q_terms is not None:
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size == 0:
-                    continue
-            if filter_field is not None:
-                f = r.filter_docs(filter_field, filter_value, dparts=[p])
-                cand = f if cand is None else \
-                    cand[np.isin(cand, f, assume_unique=True)]
-                if cand.size == 0:
-                    continue
-            out.extend(_field_sort_partials(
-                r.index_dir, sort_field, k, desc, cand,
-                self.tombstones, dparts=[p], after=after))
-        out.sort(key=(lambda t: (-t[0], t[1])) if desc
-                 else (lambda t: (t[0], t[1])))
-        return out[:k]
+def _plan_collapse(s, kw):
+    """Best-per-value is an associative max under (score desc, doc_id
+    asc): every shard ships its OWN best (score, doc) per collapse
+    value and :func:`_merge_collapse` max-merges per value."""
+    planned = _dfs_on("query")(s, kw)
+    return None if planned is None else ({**kw, "k": 1 << 31}, planned[1])
 
-    def composite_local(self, sources: list[str], field: str,
-                        q_terms: list[str] | None, mode: str
-                        ) -> dict[tuple, int]:
-        """Doc-sharded composite-agg partial (q_terms None = match
-        all live docs carrying every source field)."""
-        out: dict[tuple, int] = {}
-        for p, r in self.readers.items():
-            cand = None
-            if q_terms is not None:
-                cand = _candidate_ids(r, field, q_terms, mode)
-            for t, n in _composite_partial(r.index_dir, sources, cand,
-                                           self.tombstones,
-                                           dparts=[p]).items():
-                out[t] = out.get(t, 0) + n
-        return out
 
-    def terms_hist_local(self, field: str, q_terms: list[str], mode: str,
-                         agg_field: str, range_field: str,
-                         interval: float) -> dict[tuple[str, float], int]:
-        """Doc-sharded terms x histogram partial (area-chart shape):
-        per shard, per (keyword value, bucket), the match count —
-        only the bucket dict travels."""
-        out: dict[tuple[str, float], int] = {}
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            for k, n in _terms_hist_partial(r.index_dir, agg_field,
-                                            range_field, interval, cand,
-                                            dparts=[p]).items():
-                out[k] = out.get(k, 0) + n
-        return out
+def _merge_collapse(results, kw) -> list[tuple[float, int, str]]:
+    best: dict[str, tuple[float, int]] = {}
+    for rows in results:
+        for sc, d, v in rows:
+            cur = best.get(v)
+            if cur is None or (sc, -d) > (cur[0], -cur[1]):
+                best[v] = (sc, d)
+    out = sorted(((sc, d, v) for v, (sc, d) in best.items()),
+                 key=lambda t: (-t[0], t[1]))
+    return out[:kw["k"]]
 
-    def group_stats_local(self, field: str, q_terms: list[str], mode: str,
-                          agg_field: str, range_field: str
-                          ) -> dict[str, tuple[int, float, float, float]]:
-        """Doc-sharded terms+stats partial: per shard, per keyword
-        bucket, mergeable (count, sum, min, max) of the numeric
-        sub-agg field — only the tiny per-bucket moment dict travels
-        to the driver."""
-        out: dict[str, tuple[int, float, float, float]] = {}
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            for v, cur in _group_stats_partial(
-                    r.index_dir, agg_field, range_field, cand,
-                    dparts=[p]).items():
-                prev = out.get(v)
-                out[v] = cur if prev is None else (
-                    prev[0] + cur[0], prev[1] + cur[1],
-                    min(prev[2], cur[2]), max(prev[3], cur[3]))
-        return out
 
-    def hist_stats_local(self, field: str, q_terms: list[str],
-                         mode: str, bucket_field: str, interval: float,
-                         metric_field: str
-                         ) -> dict[float, tuple[int, float, float,
-                                                float]]:
-        """Doc-sharded histogram+metric partial: per shard, per
-        ``floor(bucket_field/interval)`` bin, mergeable (count, sum,
-        min, max) of ``metric_field`` — only the per-bin moment dict
-        travels to the driver."""
-        out: dict[float, tuple[int, float, float, float]] = {}
-        for p, r in self.readers.items():
-            cand = _candidate_ids(r, field, q_terms, mode)
-            if cand.size and self.tombstones.size:
-                cand = cand[_excl_mask(cand, self.tombstones)]
-            for k, cur in _hist_stats_partial(
-                    r.index_dir, bucket_field, interval, metric_field,
-                    cand, dparts=[p]).items():
-                prev = out.get(k)
-                out[k] = cur if prev is None else (
-                    prev[0] + cur[0], prev[1] + cur[1],
-                    min(prev[2], cur[2]), max(prev[3], cur[3]))
-        return out
+def _plan_multi_match(s, kw):
+    """idf must be global PER FIELD (a term carries different dfs in
+    different fields), so the dfs round builds one idf dict per field
+    and ships the bundle as ``_idf_by_field``; cross_fields ships the
+    blended (max-df) idf for every field.  Phrase types compose the
+    routed phrase methods on the driver."""
+    mt = kw["match_type"]
+    if mt not in ("best_fields", "most_fields", "cross_fields") \
+            or kw["_idf_by_field"] is not None:
+        return None
+    n_docs = int(s.stats["n_docs"])
+    names = [f.partition("^")[0] for f in kw["fields"]]
+    idf_by_field: dict[str, dict[str, float]] = {}
+    if mt == "cross_fields" and names:
+        toks = list(dict.fromkeys(ANALYZERS[s._analyzer_for(
+            names[0], kw["analyzer"])](kw["query"])))
+        per_field = {n: s._term_dfs(n, toks) for n in set(names)}
+        blended = {t: float(idf_fn(max(d.get(t, 0)
+                                       for d in per_field.values()),
+                                   n_docs)) for t in toks}
+        idf_by_field = {n: blended for n in set(names)}
+    else:
+        for name in names:
+            toks = list(dict.fromkeys(ANALYZERS[s._analyzer_for(
+                name, kw["analyzer"])](kw["query"])))
+            if toks:
+                dfs = s._term_dfs(name, toks)
+                idf_by_field[name] = {
+                    t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in toks}
+    return {**kw, "_idf_by_field": idf_by_field}, None
 
-    def stats_local(self, field: str, q_terms: list[str], mode: str,
-                    range_field: str, quantile_mode: str = "none") -> dict:
-        """Doc-sharded stats partial: exact mergeable moments; for
-        quantiles, ``exact`` ships the raw matched values while
-        ``tdigest`` ships an O(delta) centroid partial — the 100-TB
-        path (OpenSearch percentiles parity: t-digest per shard)."""
-        vs = [_shard_range_values(r, p, self.tombstones, field, q_terms,
-                                  mode, range_field)
-              for p, r in self.readers.items()]
-        v = np.concatenate([x for x in vs if x.size]) \
-            if any(x.size for x in vs) else np.zeros(0)
-        if v.size == 0:
-            return {"count": 0}
-        # sum_sq rides along for extended_stats (variance/std_dev are
-        # driver-derivable from the same mergeable moments)
-        out = {"count": int(v.size), "min": float(v.min()),
-               "max": float(v.max()), "sum": float(v.sum()),
-               "sum_sq": float(np.square(v).sum())}
-        if quantile_mode == "exact":
-            out["values"] = v
-        elif quantile_mode == "tdigest":
-            from ..stages.sketches import TDigest
-            td = TDigest()
-            td.add(v)
-            out["digest"] = td.to_arrays()
-        return out
 
-    def count_dev_le_local(self, field: str, q_terms: list[str],
-                           mode: str, range_field: str, center: float,
-                           probes: list[float]) -> list[int]:
-        """MAD partial: count of this actor's matched DEVIATIONS
-        ``fl(|x - center|)`` <= each probe — the transform happens
-        shard-side in the SAME float arithmetic the driver-side
-        reference (np.median of np.abs(v - med)) uses, so the
-        deviation-median bisection is exact by construction (probing
-        ``count(x <= fl(center+d))`` instead would quantize the answer
-        at ulp(center), wrong whenever |center| >> spread)."""
-        key = (field, tuple(q_terms), mode, range_field, float(center),
-               _CTX_FILTERS, _CTX_PURE)
-        v = self._cle_memo.get(key)
-        if v is None:
-            vs = [_shard_range_values(r, p, self.tombstones, field,
-                                      q_terms, mode, range_field)
-                  for p, r in self.readers.items()]
-            live = [x for x in vs if x.size]
-            raw = np.concatenate(live) if live else np.zeros(0)
-            v = np.sort(np.abs(raw - center))
-            if len(self._cle_memo) >= 32:
-                self._cle_memo.clear()
-            self._cle_memo[key] = v
-        return np.searchsorted(v, np.asarray(probes, dtype=np.float64),
-                               side="right").tolist()
+def _plan_combined(s, kw):
+    """The dfs round ships per-group UNION df partials (exact, since
+    doc shards partition the corpus) and sums them into the global
+    idf every shard scores with."""
+    specs = s._cf_specs(kw["fields"])
+    if not specs:
+        return None
+    uniq = list(dict.fromkeys(ANALYZERS[s._analyzer_for(
+        specs[0][0], kw["analyzer"])](kw["query"])))
+    if not uniq:
+        return None
+    dfs: dict[str, int] = {}
+    for d in s._scatter(_run_method, "combined_union_df",
+                        dict(terms=uniq, fields=kw["fields"])):
+        _add_counts(dfs, d)
+    n_docs = int(s.stats["n_docs"])
+    idf = {t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in uniq}
+    return {**kw, "_idf_override": idf}, None
 
-    def _matched_sorted(self, field: str, q_terms: list[str], mode: str,
-                        range_field: str) -> np.ndarray:
-        """Sorted matched values of ``range_field`` over this actor's
-        shards, memoized per (field, terms, mode, range_field, ambient
-        filters): one match-set computation serves every probe round
-        of a distributed selection."""
-        key = (field, tuple(q_terms), mode, range_field,
-               _CTX_FILTERS, _CTX_PURE)
-        v = self._cle_memo.get(key)
-        if v is None:
-            vs = [_shard_range_values(r, p, self.tombstones, field,
-                                      q_terms, mode, range_field)
-                  for p, r in self.readers.items()]
-            live = [x for x in vs if x.size]
-            v = np.sort(np.concatenate(live)) if live else np.zeros(0)
-            if len(self._cle_memo) >= 32:
-                self._cle_memo.clear()
-            self._cle_memo[key] = v
-        return v
 
-    def count_le_local(self, field: str, q_terms: list[str], mode: str,
-                       range_field: str, probes: list[int]
-                       ) -> list[int]:
-        """Distributed-exact percentile partial: count of this actor's
-        MATCHED values <= each probe.  The sorted matched-values array
-        is memoized (``_matched_sorted``), so the driver's
-        O(log value_range) probe rounds cost one match-set computation
-        here and each round ships only len(probes) ints — no matched
-        value ever leaves the shard."""
-        v = self._matched_sorted(field, q_terms, mode, range_field)
-        return np.searchsorted(v, np.asarray(probes, dtype=np.float64),
-                               side="right").tolist()
-
-    def sum_le_local(self, field: str, q_terms: list[str], mode: str,
-                     range_field: str, probes: list[float]
-                     ) -> list[float]:
-        """Companion partial for range-sum selections (the
-        variable_width_histogram cluster sums): SUM of this actor's
-        matched values <= each probe.  Rides the same memoized sorted
-        array; the prefix-sum array is memoized alongside it."""
-        v = self._matched_sorted(field, q_terms, mode, range_field)
-        key = (field, tuple(q_terms), mode, range_field,
-               _CTX_FILTERS, _CTX_PURE)
-        cs = self._sle_memo.get(key)
-        if cs is None:
-            cs = np.concatenate(([0.0], np.cumsum(v)))
-            if len(self._sle_memo) >= 32:
-                self._sle_memo.clear()
-            self._sle_memo[key] = cs
-        idx = np.searchsorted(v, np.asarray(probes, dtype=np.float64),
-                              side="right")
-        return cs[idx].tolist()
-
-    # --- doc-sharded execution (dfs_query_then_fetch; SURVEY §7.1) ---
-
-    def get_dfs(self, field: str, terms: list[str]) -> dict[str, int]:
-        """Round 1: local df per query term, summed over this actor's
-        parts — the driver sums across actors into global df."""
-        out: dict[str, int] = {}
-        for r in self.readers.values():
-            for t in terms:
-                d = r.df(field, t)
-                if d:
-                    out[t] = out.get(t, 0) + d
-        return out
-
-    def score_local(self, field: str, q_terms: list[str],
-                    idf_by_term: dict[str, float], n_docs: int, avgdl: float,
-                    k: int, mode: str, method: str,
-                    filter_field: str | None, filter_value: str | None,
-                    k1: float, b: float,
-                    search_after: tuple[float, int] | None = None
-                    ) -> list[tuple[float, int]]:
-        """Round 2: score this actor's doc shards with GLOBAL stats and
-        return the local top-k — postings never leave the actor.  Each
-        part is a complete mini-index over its doc range, so parts score
-        independently and merge by (score desc, doc_id asc)."""
-        hits: list[tuple[float, int]] = []
-        for p, r in self.readers.items():
-            rows = {t: r.raw_rows(field, t) for t in dict.fromkeys(q_terms)}
-            rows = {t: v for t, v in rows.items() if v}
-            terms = prepare_terms(q_terms, rows, n_docs, avgdl, k1, b,
-                                  idf_by_term=idf_by_term,
-                                  exclude_ids=self.tombstones)
-            filt = None
-            if filter_field is not None:
-                filt = r.filter_docs(filter_field, filter_value, dparts=[p])
-            hits.extend(_dispatch(method, terms, k, mode, avgdl, filt, k1, b,
-                                  search_after))
-        hits.sort(key=lambda sd: (-sd[0], sd[1]))
-        return hits[:k]
+def _plan_query_string(s, kw):
+    """Pattern clauses pre-expand against the GLOBAL dictionary so
+    every scoring token gets its global idf; phrase clauses are
+    filter-context (no idf) and evaluate on local positions."""
+    from .querystring import parse_query_string, parse_simple_query_string
+    parser = kw["parser"]
+    if parser == "qs":
+        parsed = parse_query_string(kw["qs"])
+    else:
+        parsed = parse_simple_query_string(
+            kw["qs"], "and" if parser == "simple_and" else "or")
+        if not parsed.clauses:
+            return None
+    field, mx = kw["field"], kw["max_expansions"]
+    an = ANALYZERS[s._analyzer_for(field, kw["analyzer"])]
+    toks: list[str] = []
+    for c in parsed.clauses:
+        if c.kind == "term":
+            toks += an(c.text)
+        elif c.kind in ("prefix", "wildcard"):
+            toks += s.expand_terms(c.text.lower(), field, c.kind, mx)
+        elif c.kind == "fuzzy":
+            toks += s.expand_terms(c.text.lower(), field, "fuzzy", mx,
+                                   fuzziness=c.fuzziness)
+    return kw, toks
 
 
 class Searcher:
-    """Driver-side coordinator.  With actors (the default) it scatters
-    each query to the part actors under global idf and merges their
-    top-k; in process it gathers postings from every part and scores
-    on the driver with TAAT (OR) or vectorized AND."""
+    """Driver-side coordinator and shard group.  With actors (the
+    default) every partial scatters to the part actors' shard groups
+    (:meth:`_scatter`) and scored queries run per doc shard under
+    global idf (:meth:`_exec_doc_sharded`), merged by (score desc,
+    doc_id asc).  In process the Searcher is itself the one shard
+    group over every part: the same partials run on it directly and
+    scored queries gather postings and score them here with TAAT (OR)
+    or vectorized AND.  A PartActor's shard-local Searcher is the
+    in-process kind over only its own parts."""
 
     def __init__(self, index_dir: str, use_actors: bool = True,
                  num_actors: int | None = None,
                  _readers: dict[int, "ShardReader"] | None = None):
         import json as _json
         import os as _os
-        from .shard import check_layout
+        from .shard import check_layout, load_tombstones
         with open(_os.path.join(index_dir, "INDEX_MANIFEST.json")) as f:
             self.manifest = _json.load(f)
         check_layout(self.manifest["config"])
@@ -2548,23 +2639,27 @@ class Searcher:
         # per-field (sorted doc_ids, raw dl) from the __dl sidecar
         # (store_doclens=True builds) — loaded lazily, once
         self._doclen_cache: dict[str, tuple] = {}
+        self._filter_cache: dict[tuple[str, str], np.ndarray] = {}
+        self._rows_cache: dict[tuple[str, str], list[tuple]] = {}
+        self._df_cache: dict[tuple[str, str], int] = {}
+        # sorted matched-values memos of the distributed-exact
+        # percentile protocol: one match-set computation serves every
+        # count_le probe round of a selection (+ prefix sums for the
+        # sum_le companion)
+        self.cle_memo: dict[tuple, np.ndarray] = {}
+        self.sle_memo: dict[tuple, np.ndarray] = {}
+        self.actors: list = []
+        self.use_actors = (_readers is None and use_actors
+                           and ray.is_initialized())
+        self._local_parts: list[int] | None = None
         if _readers is not None:
             # shard-LOCAL searcher living inside a PartActor: adopts the
             # actor's warm readers and executes the full query DSL over
             # ONLY its doc shards (global stats come from the shared
             # manifest; global idf arrives via _idf_overrides)
-            self.use_actors = False
             self.readers = dict(_readers)
-            self._local_parts: list[int] | None = sorted(_readers)
-            self._filter_cache = {}
-            self._rows_cache = {}
-            self._df_cache = {}
-            from .shard import load_tombstones
-            self.tombstones = load_tombstones(index_dir)
-            return
-        self._local_parts = None
-        self.use_actors = use_actors and ray.is_initialized()
-        if self.use_actors:
+            self._local_parts = sorted(_readers)
+        elif self.use_actors:
             if num_actors is None:
                 cpus = int(ray.cluster_resources().get("CPU", 4))
                 num_actors = max(1, min(self.P, cpus))
@@ -2579,16 +2674,11 @@ class Searcher:
             ray.get([a.ping.remote() for a in self.actors])
         else:
             self.readers = {p: ShardReader(index_dir, p) for p in range(self.P)}
-        self._filter_cache: dict[tuple[str, str], np.ndarray] = {}
-        self._rows_cache: dict[tuple[str, str], list[tuple]] = {}
-        self._df_cache: dict[tuple[str, str], int] = {}
-        from .shard import load_tombstones
         self.tombstones = load_tombstones(index_dir)
 
     def close(self) -> None:
-        if self.use_actors:
-            for a in self.actors:
-                ray.kill(a)
+        for a in self.actors:
+            ray.kill(a)
 
     def refresh_tombstones(self) -> int:
         """Reload the tombstone set from disk on the driver AND every
@@ -2597,9 +2687,8 @@ class Searcher:
         Searcher stops matching the deleted docs.  The warm readers
         and postings caches survive; only the exclusion set moves."""
         from .shard import load_tombstones
-        self.tombstones = load_tombstones(self.index_dir)
-        self._filter_cache.clear()
-        if self.use_actors:
+        self._install_tombstones(load_tombstones(self.index_dir))
+        if self.actors:
             ray.get([a.refresh_tombstones.remote() for a in self.actors])
         return int(self.tombstones.size)
 
@@ -2609,36 +2698,47 @@ class Searcher:
         view mechanism (`state/pit.pit_view`).  Restore with
         :meth:`refresh_tombstones`."""
         ids = np.sort(np.asarray(ids, dtype=np.uint64))
-        self.tombstones = ids
-        self._filter_cache.clear()
-        if self.use_actors:
+        self._install_tombstones(ids)
+        if self.actors:
             ray.get([a.set_tombstones.remote(ids) for a in self.actors])
         return int(ids.size)
+
+    def _install_tombstones(self, ids: np.ndarray) -> None:
+        self.tombstones = ids
+        self._filter_cache.clear()
+        self.cle_memo.clear()
+        self.sle_memo.clear()
+
+    def _scatter(self, fn, *args) -> list:
+        """``fn(group, *args)`` on every shard group, results in group
+        order: one ``PartActor.run`` per actor, or this Searcher itself
+        in process."""
+        if self.use_actors:
+            return ray.get([a.run.remote(fn, *args) for a in self.actors])
+        return [fn(self, *args)]
+
+    def _probe_sum(self, fn, *args, dtype=np.int64) -> np.ndarray:
+        """Element-wise sum of the groups' per-probe partials (the
+        count_le / sum_le rounds of a distributed selection)."""
+        return np.sum(np.asarray(self._scatter(fn, *args), dtype=dtype),
+                      axis=0)
 
     def _gather(self, field: str, terms: list[str]) -> dict[str, list[tuple]]:
         """Fetch raw postings rows for terms; a bounded per-searcher
         cache keeps hot terms' (large) blobs from re-shipping on every
         query (reference parity: warm OpenSearch shard request cache).
-        A term's postings are sliced across EVERY doc shard — broadcast
-        the request and merge run lists (merge_postings/_PhraseTerm
-        re-sort, so run order across shards doesn't matter).  Prefer
-        the doc-sharded query methods at scale; this gather serves the
-        methods that score on the driver."""
+        A term's postings are sliced across EVERY doc shard — every
+        group ships its rows and the run lists merge (merge_postings/
+        _PhraseTerm re-sort, so run order across shards doesn't
+        matter).  Scored queries run per doc shard with actors; this
+        gather serves in-process and shard-local execution."""
         cache = self._rows_cache
         missing = [t for t in dict.fromkeys(terms) if (field, t) not in cache]
         rows: dict[str, list[tuple]] = {}
         if missing:
-            if self.use_actors:
-                for d in ray.get([a.get_terms_all.remote(field, missing)
-                                  for a in self.actors]):
-                    for t, r in d.items():
-                        rows.setdefault(t, []).extend(r)
-            else:
-                for r in self.readers.values():
-                    for t in missing:
-                        got = r.raw_rows(field, t)
-                        if got:
-                            rows.setdefault(t, []).extend(got)
+            for d in self._scatter(_grp_rows, field, missing):
+                for t, r in d.items():
+                    rows.setdefault(t, []).extend(r)
         for t in missing:
             if len(cache) < 4096:
                 cache[(field, t)] = rows.get(t, [])
@@ -2673,6 +2773,7 @@ class Searcher:
         return load_range_ids(self.index_dir, field, lo, hi,
                               dparts=self._local_parts)
 
+    @_routed(_dfs_on("query"))
     def search(self, query: str, field: str = "content", k: int = 10,
                mode: str = "or", method: str = "auto",
                filter_field: str | None = None, filter_value: str | None = None,
@@ -2691,23 +2792,6 @@ class Searcher:
         hit — resumes the ranking strictly after the cursor (OpenSearch
         search_after parity: deep paging without accumulating offset
         cost)."""
-        if self.use_actors and self._idf_overrides is None:
-            # per-shard scoring is the default (scale-safe — postings
-            # never leave their shard); the driver-gather path below
-            # serves in-process and shard-local execution
-            an = self._analyzer_for(field, analyzer)
-            toks = ANALYZERS[an](query)
-            if not toks:
-                return []
-            return self._exec_doc_sharded(
-                "search",
-                dict(query=query, field=field, k=k, mode=mode,
-                     method=method, filter_field=filter_field,
-                     filter_value=filter_value, range_field=range_field,
-                     range_lo=range_lo, range_hi=range_hi,
-                     analyzer=analyzer, search_after=search_after,
-                     k1=k1, b=b),
-                k, idf_terms=toks, field=field)
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
                              if f == field), "code")
@@ -2760,6 +2844,7 @@ class Searcher:
                     np.intersect1d(filt, ids, assume_unique=True)
         return filt, excl
 
+    @_routed(_plan_bool)
     def search_bool(self, must: list[str] | None = None,
                     should: list[str] | None = None,
                     must_not: list[str] | None = None,
@@ -2828,6 +2913,7 @@ class Searcher:
         return score_bool(must_td, should_td, k, avgdl, msm, mn_ids,
                           filt, k1, b)
 
+    @_routed(_plan_multi_match)
     def multi_match(self, query: str, fields: list[str], k: int = 10,
                     match_type: str = "best_fields",
                     tie_breaker: float = 0.0,
@@ -2845,9 +2931,9 @@ class Searcher:
         ``"name^2.5"`` syntax.  Exactness needs the FULL per-field
         match sets (a doc outside one field's top-k can win combined),
         so each field is TAAT-scored completely and combined here —
-        per doc shard via :meth:`multi_match_sharded` at scale.
-        ``_idf_by_field`` injects global per-field idf on shard-local
-        executions (the dfs round of dfs_query_then_fetch)."""
+        per doc shard with actors.  ``_idf_by_field`` injects global
+        per-field idf on shard-local executions (the dfs round of
+        dfs_query_then_fetch)."""
         if match_type not in ("best_fields", "most_fields",
                               "cross_fields", "phrase", "phrase_prefix"):
             raise ValueError(f"unsupported multi_match type: {match_type!r}")
@@ -2880,13 +2966,6 @@ class Searcher:
                     (float(mx + tie_breaker * (sum(ss) - mx)), d))
             combined.sort(key=lambda t: (-t[0], t[1]))
             return combined[:k]
-        if self.use_actors and _idf_by_field is None \
-                and self._idf_overrides is None:
-            # auto-route to per-shard execution (same contract as
-            # search())
-            return self.multi_match_sharded(
-                query, fields, k=k, match_type=match_type,
-                tie_breaker=tie_breaker, analyzer=analyzer, k1=k1, b=b)
         if match_type == "cross_fields":
             return self._multi_match_cross(query, fields, k, tie_breaker,
                                            analyzer, k1, b, _idf_by_field)
@@ -3002,6 +3081,7 @@ class Searcher:
             specs.append((name, w))
         return specs
 
+    @_routed(_plan_combined)
     def combined_fields(self, query: str, fields: list[str], k: int = 10,
                         analyzer: str | None = None,
                         k1: float = K1, b: float = B,
@@ -3119,17 +3199,8 @@ class Searcher:
                    if (field, t) not in cache]
         if missing:
             got: dict[str, int] = {}
-            if self.use_actors:
-                for d in ray.get([a.get_dfs.remote(field, missing)
-                                  for a in self.actors]):
-                    for t, n in d.items():
-                        got[t] = got.get(t, 0) + n
-            else:
-                for r in self.readers.values():
-                    for t in missing:
-                        d = r.df(field, t)
-                        if d:
-                            got[t] = got.get(t, 0) + d
+            for d in self._scatter(_grp_dfs, field, missing):
+                _add_counts(got, d)
             for t in missing:
                 if len(cache) < 65536:
                     cache[(field, t)] = got.get(t, 0)
@@ -3225,11 +3296,6 @@ class Searcher:
                              for t, (tf, first) in sorted(stats.items())]
         return out
 
-    def _local_match_count(self, field: str, q_terms: list[str],
-                           mode: str) -> int:
-        """Live match-set size over this searcher's doc slice."""
-        return int(self._match_ids(field, q_terms, mode).size)
-
     def match_count(self, query: str, field: str = "content",
                     mode: str = "or", analyzer: str | None = None) -> int:
         """OpenSearch ``_count`` for a match query: the match-set size,
@@ -3240,13 +3306,7 @@ class Searcher:
         q_terms = an(query)
         if not q_terms:
             return 0
-        if self.use_actors:
-            return sum(ray.get([
-                a.exec_local.remote("_local_match_count",
-                                    dict(field=field, q_terms=q_terms,
-                                         mode=mode), None)
-                for a in self.actors]))
-        return self._local_match_count(field, q_terms, mode)
+        return sum(self._scatter(_grp_count, field, q_terms, mode))
 
     def _doclens(self, field: str) -> tuple[np.ndarray, np.ndarray]:
         """(sorted doc_ids int64, raw dl int64) for ``field`` from the
@@ -3348,17 +3408,11 @@ class Searcher:
         n_docs = int(self.stats["n_docs"])
         dfs = self._term_dfs(field, sec_terms) if sec_terms else {}
         idf = {t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in sec_terms}
-        if self.use_actors:
-            parts = ray.get([
-                a.exec_local.remote(
-                    "_rescore_local",
-                    dict(doc_ids=win, query=rescore_query, field=field,
-                         idf=idf, k1=k1, b=b), None)
-                for a in self.actors])
-            sec = {d: c for p in parts for d, c in p}
-        else:
-            sec = dict(self._rescore_local(win, rescore_query, field,
-                                           idf, k1, b))
+        parts = self._scatter(
+            _run_method, "_rescore_local",
+            dict(doc_ids=win, query=rescore_query, field=field, idf=idf,
+                 k1=k1, b=b))
+        sec = {d: c for p in parts for d, c in p}
         combined = [(query_weight * sc
                      + rescore_query_weight * sec.get(int(d), 0.0),
                      int(d)) for sc, d in primary]
@@ -3414,10 +3468,15 @@ class Searcher:
         self._doclen_cache[("__vec__", field)] = out
         return out
 
-    def knn_local(self, field: str, query_vec, k: int = 10
-                  ) -> list[tuple[float, int]]:
-        """Exact cosine top-k over this searcher's doc slice — one
-        matvec against the cached vector sidecar."""
+    @_routed(_no_dfs)
+    def knn_search(self, field: str, query_vec, k: int = 10
+                   ) -> list[tuple[float, int]]:
+        """Exact kNN over the index's vector sidecar (the OpenSearch
+        knn plugin's exact mode): per doc shard, one matvec over the
+        shard's own cached vectors and a local top-k; the driver
+        merges P*k (cosine, doc_id) rows.  Bucketed/ANN variants live
+        in stages/knn.py (LSH, IVF) — this is the in-index exact
+        path.  Requires an index built with vector_fields."""
         ids, mat, norms = self._vectors(field)
         if ids.size == 0:
             return []
@@ -3434,26 +3493,6 @@ class Searcher:
         kk = min(int(k), ids.size)
         sel = np.lexsort((ids, -sims))[:kk]
         return [(float(sims[i]), int(ids[i])) for i in sel]
-
-    def knn_search(self, field: str, query_vec, k: int = 10
-                   ) -> list[tuple[float, int]]:
-        """Exact kNN over the index's vector sidecar (the OpenSearch
-        knn plugin's exact mode): per doc shard, one matvec over the
-        shard's own cached vectors and a local top-k; the driver
-        merges P*k (cosine, doc_id) rows.  Bucketed/ANN variants live
-        in stages/knn.py (LSH, IVF) — this is the in-index exact
-        path.  Requires an index built with vector_fields."""
-        if self.use_actors:
-            q = np.asarray(query_vec, np.float64).tolist()
-            shard_hits = ray.get([
-                a.exec_local.remote("knn_local",
-                                    dict(field=field, query_vec=q, k=k),
-                                    None)
-                for a in self.actors])
-            merged = [h for hs in shard_hits for h in hs]
-            merged.sort(key=lambda t: (-t[0], t[1]))
-            return merged[:int(k)]
-        return self.knn_local(field, query_vec, k)
 
     def highlight(self, query: str, field: str = "content", k: int = 10,
                   window: int = 8, pre_tag: str = "<em>",
@@ -3581,7 +3620,7 @@ class Searcher:
         The sort values come from the doc-range-partitioned range
         tables, which are value-sorted per part — so each part's local
         top-k is a boundary bisect + two slices (no sort), and with
-        actors each shard ships exactly k rows (``sort_local``).
+        actors each shard ships exactly k rows (``_grp_sort``).
         Match-all (empty query, no filter) walks no postings at all.
         Docs missing the sort field are omitted.
 
@@ -3596,30 +3635,9 @@ class Searcher:
             q_terms = an(query)
             if not q_terms:
                 return []
-        if self.use_actors:
-            locs = ray.get([
-                a.sort_local.remote(sort_field, k, desc, field, q_terms,
-                                    mode, filter_field, filter_value,
-                                    after)
-                for a in self.actors])
-            cands = [t for loc in locs for t in loc]
-        else:
-            cand: np.ndarray | None = None
-            if q_terms is not None:
-                parts = [c for c in (
-                    _candidate_ids(r, field, q_terms, mode)
-                    for r in self.readers.values()) if c.size]
-                cand = (np.sort(np.concatenate(parts)) if parts
-                        else np.zeros(0, np.uint64))
-            if filter_field is not None:
-                f = self._filter_ids(filter_field, filter_value)
-                cand = f if cand is None else \
-                    cand[np.isin(cand, f, assume_unique=True)]
-            if cand is not None and cand.size == 0:
-                return []
-            cands = _field_sort_partials(
-                self.index_dir, sort_field, k, desc, cand,
-                self.tombstones, dparts=self._local_parts, after=after)
+        cands = [t for loc in self._scatter(
+            _grp_sort, sort_field, k, desc, field, q_terms, mode,
+            filter_field, filter_value, after) for t in loc]
         cands.sort(key=(lambda t: (-t[0], t[1])) if desc
                    else (lambda t: (t[0], t[1])))
         return cands[:k]
@@ -3734,6 +3752,7 @@ class Searcher:
         uniq, inv = np.unique(docs, return_inverse=True)
         return uniq, np.bincount(inv, weights=contribs, minlength=uniq.size)
 
+    @_routed(_plan_query_string)
     def query_string(self, qs: str, field: str = "content", k: int = 10,
                      max_expansions: int = 1024,
                      analyzer: str | None = None,
@@ -3894,18 +3913,9 @@ class Searcher:
         BooleanQuery.TooManyClauses parity).  ``prefix`` restricts a
         fuzzy expansion to candidates sharing that literal prefix
         (suggester prefix_length, applied at the probe, not after)."""
-        if self.use_actors:
-            parts = ray.get([a.match_terms.remote(field, pattern, kind,
-                                                  fuzziness, transpositions,
-                                                  prefix)
-                             for a in self.actors])
-            terms = sorted(set().union(*map(set, parts))) if parts else []
-        else:
-            out: set[str] = set()
-            for r in self.readers.values():
-                out.update(r.match_terms(field, pattern, kind, fuzziness,
-                                         transpositions, prefix))
-            terms = sorted(out)
+        terms = sorted(set().union(*self._scatter(
+            _grp_match_terms, field, pattern, kind, fuzziness,
+            transpositions, prefix)))
         if len(terms) > max_expansions:
             raise ValueError(
                 f"{kind} '{pattern}' expands to {len(terms)} terms "
@@ -4014,32 +4024,10 @@ class Searcher:
         the context filter ids, (term, count) pairs travel."""
         if not terms:
             return {}
-        if self.use_actors:
-            out: dict[str, int] = {}
-            for d in ray.get([
-                    a.context_dfs_local.remote(field, terms,
-                                               context_field,
-                                               context_value)
-                    for a in self.actors]):
-                for t, n in d.items():
-                    out[t] = out.get(t, 0) + n
-            return out
-        filt = self._filter_ids(context_field, context_value)
-        if filt.size == 0:
-            return {}
-        out = {}
-        for r in self.readers.values():
-            for t in terms:
-                cand = _candidate_ids(r, field, [t], "or")
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                if cand.size == 0:
-                    continue
-                pos = np.minimum(np.searchsorted(filt, cand),
-                                 filt.size - 1)
-                n = int(np.count_nonzero(filt[pos] == cand))
-                if n:
-                    out[t] = out.get(t, 0) + n
+        out: dict[str, int] = {}
+        for d in self._scatter(_grp_context_dfs, field, terms,
+                               context_field, context_value):
+            _add_counts(out, d)
         return out
 
     def explain(self, query: str, doc_id: int, field: str = "content",
@@ -4251,6 +4239,7 @@ class Searcher:
         out.sort(key=lambda t: (-t[2], t[0]))
         return out[:k]
 
+    @_routed(_plan_terms)
     def _expanded_or(self, terms: list[str], field: str, k: int,
                      k1: float, b: float) -> list[tuple[float, int]]:
         if not terms:
@@ -4263,6 +4252,7 @@ class Searcher:
                            exclude_ids=self.tombstones)
         return score_taat(td, k, "or", avgdl, None, k1, b)
 
+    @_routed(_no_dfs)
     def constant_score(self, query: str, field: str = "content",
                        mode: str = "or", boost: float = 1.0, k: int = 10,
                        analyzer: str | None = None
@@ -4277,6 +4267,7 @@ class Searcher:
         cand = self._match_ids(field, q_terms, mode)
         return [(float(boost), int(d)) for d in cand[:k]]
 
+    @_routed(_dfs_on("positive"))
     def boosting_search(self, positive: str, negative: str,
                         negative_boost: float = 0.5,
                         field: str = "content", k: int = 10,
@@ -4308,6 +4299,7 @@ class Searcher:
         hits.sort(key=lambda t: (-t[0], t[1]))
         return hits[:k]
 
+    @_routed(_plan_collapse, _merge_collapse)
     def collapse_search(self, query: str, collapse_field: str,
                         field: str = "content", k: int = 10,
                         analyzer: str | None = None,
@@ -4414,8 +4406,10 @@ class Searcher:
             # and the seed enters MULTIPLICATIVELY with a 10007 spread
             # so adjacent seeds genuinely reorder (any affine seed mix
             # shifts every doc by a near-constant and preserves
-            # order).  All intermediates < 2^53, so the DuckDB twin
-            # computes the identical bits in int64.  OpenSearch's
+            # order).  Every product is < 2^54 (x < 2^32, m < 2^22),
+            # so it is exact in uint64 here and in the DuckDB twin's
+            # int64 (BIGINT); only the final h < 2^32 becomes a float,
+            # exactly.  OpenSearch's
             # random_score is likewise hash-deterministic given
             # (seed, field).
             seed = int(fn.get("seed", 0)) & 0xFFFFFFFF
@@ -4476,6 +4470,7 @@ class Searcher:
             return out, w
         raise ValueError(f"unsupported function type {typ!r}")
 
+    @_routed(_plan_function_score)
     def function_score(self, query: str, field: str = "content",
                        value_field: str | None = None,
                        factor: float = 1.0, modifier: str = "none",
@@ -4502,8 +4497,7 @@ class Searcher:
         (value_field/factor/modifier) still works and maps to one
         field_value_factor spec.  Per-doc values come from the packed
         range tables — no stored-field fetch; rescoring is per-doc
-        local, so this method doc-shards exactly (see
-        :meth:`function_score_sharded`)."""
+        local, so this method doc-shards exactly."""
         if boost_mode not in ("multiply", "sum", "avg", "min", "max",
                               "replace"):
             raise ValueError(f"unsupported boost_mode {boost_mode!r}")
@@ -4566,6 +4560,7 @@ class Searcher:
                           key=lambda t: (-t[0], t[1]))
         return rescored[:k]
 
+    @_routed(_dfs_on("query"))
     def script_score_search(self, query: str, expr: str,
                             fields: tuple[str, ...] = (),
                             field: str = "content", k: int = 10,
@@ -4579,8 +4574,7 @@ class Searcher:
         exp/min/max), evaluated VECTORIZED over the whole match set.
         Docs missing any named field are dropped (painless
         ``doc['f'].value`` raises on missing).  Rescoring is
-        per-doc-local, so :meth:`script_score_search_sharded`
-        doc-shards exactly."""
+        per-doc-local, so the method doc-shards exactly."""
         fn = compile_metric_expr(expr, ("_score",) + tuple(fields))
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
         q_terms = an(query)
@@ -4614,22 +4608,7 @@ class Searcher:
                           key=lambda t: (-t[0], t[1]))
         return rescored[:k]
 
-    def script_score_search_sharded(self, query: str, expr: str,
-                                    fields: tuple[str, ...] = (),
-                                    field: str = "content", k: int = 10,
-                                    analyzer: str | None = None,
-                                    k1: float = K1, b: float = B
-                                    ) -> list[tuple[float, int]]:
-        """:meth:`script_score_search` per doc shard with global idf
-        (the dfs round) — rescoring reads only shard-local range
-        tables, so P×k tuples travel."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        return self._exec_doc_sharded(
-            "script_score_search",
-            dict(query=query, expr=expr, fields=tuple(fields),
-                 field=field, k=k, analyzer=analyzer, k1=k1, b=b),
-            k, idf_terms=an(query), field=field)
-
+    @_routed(_dfs_on("query"))
     def distance_feature_search(self, query: str, feature_field: str,
                                 origin: float, pivot: float,
                                 boost: float = 1.0,
@@ -4641,8 +4620,8 @@ class Searcher:
         ``boost * pivot / (pivot + |value - origin|)`` to each hit's
         BM25 score — docs missing the feature field keep their plain
         score (the query only BOOSTS docs carrying the field; it
-        never filters).  Per-doc-local, so
-        :meth:`distance_feature_search_sharded` doc-shards exactly."""
+        never filters).  Per-doc-local, so the method doc-shards
+        exactly."""
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
         q_terms = an(query)
         if not q_terms:
@@ -4669,25 +4648,7 @@ class Searcher:
                           key=lambda t: (-t[0], t[1]))
         return rescored[:k]
 
-    def distance_feature_search_sharded(self, query: str,
-                                        feature_field: str,
-                                        origin: float, pivot: float,
-                                        boost: float = 1.0,
-                                        field: str = "content",
-                                        k: int = 10,
-                                        analyzer: str | None = None,
-                                        k1: float = K1, b: float = B
-                                        ) -> list[tuple[float, int]]:
-        """:meth:`distance_feature_search` per doc shard with global
-        idf — P×k tuples travel."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        return self._exec_doc_sharded(
-            "distance_feature_search",
-            dict(query=query, feature_field=feature_field, origin=origin,
-                 pivot=pivot, boost=boost, field=field, k=k,
-                 analyzer=analyzer, k1=k1, b=b),
-            k, idf_terms=an(query), field=field)
-
+    @_routed(_dfs_on("query"))
     def rank_feature_search(self, query: str, feature_field: str,
                             function: str = "saturation",
                             pivot: float = 1.0, scaling: float = 1.0,
@@ -4701,8 +4662,7 @@ class Searcher:
         (ln(scaling·x + 1)) or ``sigmoid`` (x^e/(x^e+pivot^e))
         curve over the positive feature field.  Missing-field docs
         keep their plain score (boost-only, like distance_feature).
-        Per-doc-local → :meth:`rank_feature_search_sharded` doc-shards
-        exactly."""
+        Per-doc-local, so the method doc-shards exactly."""
         if function not in ("saturation", "log", "sigmoid"):
             raise ValueError(f"unsupported rank_feature function "
                              f"{function!r}")
@@ -4737,26 +4697,6 @@ class Searcher:
                           key=lambda t: (-t[0], t[1]))
         return rescored[:k]
 
-    def rank_feature_search_sharded(self, query: str, feature_field: str,
-                                    function: str = "saturation",
-                                    pivot: float = 1.0,
-                                    scaling: float = 1.0,
-                                    exponent: float = 1.0,
-                                    boost: float = 1.0,
-                                    field: str = "content", k: int = 10,
-                                    analyzer: str | None = None,
-                                    k1: float = K1, b: float = B
-                                    ) -> list[tuple[float, int]]:
-        """:meth:`rank_feature_search` per doc shard (dfs round)."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        return self._exec_doc_sharded(
-            "rank_feature_search",
-            dict(query=query, feature_field=feature_field,
-                 function=function, pivot=pivot, scaling=scaling,
-                 exponent=exponent, boost=boost, field=field, k=k,
-                 analyzer=analyzer, k1=k1, b=b),
-            k, idf_terms=an(query), field=field)
-
     def exists_search(self, field_name: str, k: int | None = None
                       ) -> list[tuple[float, int]]:
         """OpenSearch ``exists`` query: live docs carrying
@@ -4769,17 +4709,11 @@ class Searcher:
         O(k) no matter how dense the field (the scan itself is
         O(field docs), the same doc-values walk OpenSearch does; with
         an actor pool each shard ships only its own first-k via
-        :class:`PartActor.exists_local`)."""
-        if self.use_actors:
-            parts = ray.get([a.exists_local.remote(field_name, k)
-                             for a in self.actors])
-            ids = np.sort(np.concatenate(
-                [p for p in parts if p.size] or
-                [np.zeros(0, np.uint64)]))[:k]
-            return [(1.0, int(d)) for d in ids]
-        ids = _exists_ids(self.index_dir, field_name, k,
-                          self._local_parts, self.tombstones)
-        return [(1.0, int(d)) for d in ids[:k]]
+        ``_grp_exists``)."""
+        parts = self._scatter(_grp_exists, field_name, k)
+        ids = np.sort(np.concatenate(
+            [p for p in parts if p.size] or [np.zeros(0, np.uint64)]))[:k]
+        return [(1.0, int(d)) for d in ids]
 
     def ids_search(self, doc_ids: list[int], k: int | None = None
                    ) -> list[tuple[float, int]]:
@@ -4873,21 +4807,9 @@ class Searcher:
         if not q_terms:
             return []
         merged: dict[tuple[str, str], int] = {}
-        if self.use_actors:
-            parts = ray.get([
-                a.multi_terms_local.remote(field, q_terms, mode, fa, fb)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(_multi_terms_partial(
-                    self.index_dir, fa, fb, cand, dparts=[p]))
-        for d in parts:
-            for kv, n in d.items():
-                merged[kv] = merged.get(kv, 0) + n
+        for d in self._scatter(_grp_multi_terms, field, q_terms, mode,
+                               fa, fb):
+            _add_counts(merged, d)
         out = [(a_, b_, n) for (a_, b_), n in merged.items()]
         out.sort(key=lambda t: (-t[2], t[0], t[1]))
         return out
@@ -4910,6 +4832,7 @@ class Searcher:
                               exclude_ids=self.tombstones)
         return _dispatch("auto", terms, k, mode, avgdl, filt, k1, b, None)
 
+    @_routed(_dfs_on("query"))
     def geo_bounding_box_search(self, query: str, lat_field: str,
                                 lon_field: str,
                                 top_left: tuple[float, float],
@@ -4932,6 +4855,7 @@ class Searcher:
         return self._filtered_match(query, field, k, mode, filt,
                                     analyzer, k1, b)
 
+    @_routed(_dfs_on("query"))
     def geo_distance_search(self, query: str, lat_field: str,
                             lon_field: str, origin: tuple[float, float],
                             distance_km: float, field: str = "content",
@@ -4963,6 +4887,7 @@ class Searcher:
         return self._filtered_match(query, field, k, mode, filt,
                                     analyzer, k1, b)
 
+    @_routed(_dfs_on("query"))
     def geo_polygon_search(self, query: str, lat_field: str,
                            lon_field: str,
                            points: list[tuple[float, float]],
@@ -5042,21 +4967,8 @@ class Searcher:
             return []
         olat, olon = float(origin[0]), float(origin[1])
         totals = [0] * len(ranges)
-        if self.use_actors:
-            parts = ray.get([
-                a.geo_distance_local.remote(field, q_terms, mode,
-                                            lat_field, lon_field,
-                                            olat, olon, ranges)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(_geo_distance_partial(
-                    self.index_dir, cand, lat_field, lon_field,
-                    olat, olon, ranges, dparts=[p]))
+        parts = self._scatter(_grp_geo_distance, field, q_terms, mode,
+                              lat_field, lon_field, olat, olon, ranges)
         for row in parts:
             for i, n in enumerate(row):
                 totals[i] += n
@@ -5085,27 +4997,10 @@ class Searcher:
         q_terms = an(query)
         if not q_terms:
             return []
-        part_fn = (_geotile_partial if scheme == "geotile"
-                   else _geohash_partial)
         merged: dict[str, int] = {}
-        if self.use_actors:
-            parts = ray.get([
-                a.geotile_local.remote(field, q_terms, mode,
-                                       lat_field, lon_field, precision,
-                                       scheme)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(part_fn(
-                    self.index_dir, cand, lat_field, lon_field,
-                    precision, dparts=[p]))
-        for d in parts:
-            for k, n in d.items():
-                merged[k] = merged.get(k, 0) + n
+        for d in self._scatter(_grp_geotile, field, q_terms, mode,
+                               lat_field, lon_field, precision, scheme):
+            _add_counts(merged, d)
         out = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
         return out if size is None else out[:size]
 
@@ -5145,20 +5040,8 @@ class Searcher:
         if not q_terms:
             return {"count": 0, "state": 0.0, "value": None}
         n_tot, s_tot = 0, 0.0
-        if self.use_actors:
-            parts = ray.get([
-                a.scripted_local.remote(field, q_terms, mode,
-                                        tuple(fields), map_expr)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(_scripted_partial(
-                    self.index_dir, cand, tuple(fields), map_expr,
-                    dparts=[p]))
+        parts = self._scatter(_grp_scripted, field, q_terms, mode,
+                              tuple(fields), map_expr)
         for n, s in parts:
             n_tot += n
             s_tot += s
@@ -5182,19 +5065,8 @@ class Searcher:
         q_terms = an(query)
         if not q_terms:
             return {"count": 0}
-        if self.use_actors:
-            parts = ray.get([
-                a.string_stats_local.remote(field, q_terms, mode,
-                                            agg_field)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(_string_stats_partial(
-                    self.index_dir, agg_field, cand, dparts=[p]))
+        parts = self._scatter(_grp_string_stats, field, q_terms, mode,
+                              agg_field)
         tot = _merge_string_stats(parts)
         if not tot["n"]:
             return {"count": 0}
@@ -5223,20 +5095,8 @@ class Searcher:
         q_terms = an(query)
         if not q_terms:
             return {"count": 0}
-        if self.use_actors:
-            parts = ray.get([
-                a.geo_bounds_local.remote(field, q_terms, mode,
-                                          lat_field, lon_field)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(_geo_bounds_partial(
-                    self.index_dir, cand, lat_field, lon_field,
-                    dparts=[p]))
+        parts = self._scatter(_grp_geo_bounds, field, q_terms, mode,
+                              lat_field, lon_field)
         tot = _merge_geo_bounds(parts)
         if not tot.get("n"):
             return {"count": 0}
@@ -5295,52 +5155,13 @@ class Searcher:
         q_terms = an(query)
         if not q_terms:
             return []
-        if self.use_actors:
-            def count_le(probes: list[float]) -> np.ndarray:
-                rows = ray.get([
-                    a.count_le_local.remote(field, list(q_terms), mode,
-                                            range_field, probes)
-                    for a in self.actors])
-                return np.sum(np.asarray(rows, dtype=np.int64), axis=0)
-
-            def sum_le(probes: list[float]) -> np.ndarray:
-                rows = ray.get([
-                    a.sum_le_local.remote(field, list(q_terms), mode,
-                                          range_field, probes)
-                    for a in self.actors])
-                return np.sum(np.asarray(rows, dtype=np.float64), axis=0)
-
-            st = self.stats_aggregation(query, range_field, field, mode,
-                                        analyzer=analyzer)
-        else:
-            sorted_vals: list[np.ndarray] = []
-            for p, r in self.readers.items():
-                v = _shard_range_values(r, p, self.tombstones, field,
-                                        q_terms, mode, range_field)
-                if v.size:
-                    sorted_vals.append(np.sort(v))
-            if not sorted_vals:
-                return []
-            cums = [np.concatenate(([0.0], np.cumsum(sv)))
-                    for sv in sorted_vals]
-
-            def count_le(probes: list[float]) -> np.ndarray:
-                pr = np.asarray(probes, dtype=np.float64)
-                tot = np.zeros(pr.size, dtype=np.int64)
-                for sv in sorted_vals:
-                    tot += np.searchsorted(sv, pr, side="right")
-                return tot
-
-            def sum_le(probes: list[float]) -> np.ndarray:
-                pr = np.asarray(probes, dtype=np.float64)
-                tot = np.zeros(pr.size, dtype=np.float64)
-                for sv, cs in zip(sorted_vals, cums):
-                    tot += cs[np.searchsorted(sv, pr, side="right")]
-                return tot
-
-            st = {"count": int(sum(sv.size for sv in sorted_vals)),
-                  "min": float(min(sv[0] for sv in sorted_vals)),
-                  "max": float(max(sv[-1] for sv in sorted_vals))}
+        count_le = functools.partial(self._probe_sum, _grp_count_le, field,
+                                     list(q_terms), mode, range_field)
+        sum_le = functools.partial(self._probe_sum, _grp_sum_le, field,
+                                   list(q_terms), mode, range_field,
+                                   dtype=np.float64)
+        st = self.stats_aggregation(query, range_field, field, mode,
+                                    analyzer=analyzer)
         n = int(st.get("count") or 0)
         if n == 0:
             return []
@@ -5396,24 +5217,12 @@ class Searcher:
             return []
         fg: dict[str, int] = {}
         df: dict[str, int] = {}
-        if self.use_actors:
-            parts = ray.get([
-                a.sig_text_local.remote(field, q_terms, mode,
-                                        tf_field, max_terms)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                parts.append(_sig_text_partial(
-                    r, p, self.tombstones, field, q_terms, mode,
-                    tf_field, max_terms))
         fg_total = 0
-        for f, d, n in parts:
+        for f, d, n in self._scatter(_grp_sig_text, field, q_terms, mode,
+                                     tf_field, max_terms):
             fg_total += n
-            for t, x in f.items():
-                fg[t] = fg.get(t, 0) + x
-            for t, x in d.items():
-                df[t] = df.get(t, 0) + x
+            _add_counts(fg, f)
+            _add_counts(df, d)
         if not fg or fg_total == 0:
             return []
         bg_total = float(int(self.stats["n_docs"]) - self.tombstones.size)
@@ -5461,25 +5270,14 @@ class Searcher:
         dfs = self._term_dfs(field, q_terms)
         idf = {t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in q_terms}
         merged: dict[str, int] = {}
-        if self.use_actors:
-            parts = ray.get([
-                a.sampler_local.remote(field, q_terms, shard_size,
-                                       agg_field, diversify_field,
-                                       max_docs_per_value, idf,
-                                       n_docs, avgdl, k1, b)
-                for a in self.actors])
-        else:
-            parts = [_sampler_partial(r, p, self.tombstones, field,
-                                      q_terms, shard_size, agg_field,
-                                      diversify_field,
-                                      max_docs_per_value, idf,
-                                      n_docs, avgdl, k1, b)
-                     for p, r in self.readers.items()]
-        for d in parts:
-            for v, n in d.items():
-                merged[v] = merged.get(v, 0) + n
+        for d in self._scatter(_grp_sampler, field, q_terms, shard_size,
+                               agg_field, diversify_field,
+                               max_docs_per_value, idf, n_docs, avgdl,
+                               k1, b):
+            _add_counts(merged, d)
         return sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
 
+    @_routed(_plan_terms)
     def terms_set_search(self, terms: list[str], field: str = "content",
                          msm_field: str | None = None,
                          minimum_should_match: int | None = None,
@@ -5492,9 +5290,9 @@ class Searcher:
         score is the BM25 sum over the doc's matching terms (a bool
         should under Lucene's MinShouldMatchSumScorer).  Docs missing
         ``msm_field`` never match (no minimum to satisfy).  Needs the
-        full match set (TAAT), so at scale use
-        :meth:`terms_set_search_sharded` — per-doc match counts and
-        field minima are shard-local there.  Returns [(score, doc_id)]
+        full match set (TAAT); per-doc match counts and field minima
+        are shard-local, so with actors each doc shard runs it over its
+        own slice.  Returns [(score, doc_id)]
         sorted (score desc, doc_id asc), top ``k``."""
         uniq = [t for t in dict.fromkeys(terms) if t]
         if not uniq or (msm_field is None and minimum_should_match is None):
@@ -5544,23 +5342,6 @@ class Searcher:
         out.sort(key=lambda t: (-t[0], t[1]))
         return out[:k]
 
-    def terms_set_search_sharded(self, terms: list[str],
-                                 field: str = "content",
-                                 msm_field: str | None = None,
-                                 minimum_should_match: int | None = None,
-                                 k: int = 10, k1: float = K1, b: float = B
-                                 ) -> list[tuple[float, int]]:
-        """:meth:`terms_set_search` per doc shard with global idf (the
-        dfs round): match counts, per-doc minima and scoring are all
-        doc-local, so each shard returns its local top-k and only
-        P×k (score, doc) tuples travel."""
-        return self._exec_doc_sharded(
-            "terms_set_search",
-            dict(terms=terms, field=field, msm_field=msm_field,
-                 minimum_should_match=minimum_should_match, k=k,
-                 k1=k1, b=b),
-            k, idf_terms=list(terms), field=field)
-
     def cardinality_aggregation(self, query: str, agg_field: str,
                                 field: str = "content", mode: str = "or",
                                 analyzer: str | None = None) -> int:
@@ -5601,31 +5382,11 @@ class Searcher:
         counts: dict[float, int] = {}
         # per-shard bucket partials, summed here — values and doc
         # ids never leave their shard
-        if self.use_actors:
-            parts = ray.get([a.hist_local.remote(field, q_terms, mode,
-                                                 range_field, interval,
-                                                 offset)
-                             for a in self.actors])
-        else:
-            parts = [dict(self._hist_one(r, p, field, q_terms, mode,
-                                         range_field, interval,
-                                         offset))
-                     for p, r in self.readers.items()]
-        for d in parts:
-            for bv, n in d.items():
-                counts[bv] = counts.get(bv, 0) + n
+        for d in self._scatter(_grp_hist, field, q_terms, mode,
+                               range_field, interval, offset):
+            _add_counts(counts, d)
         return _hist_fill(sorted(counts.items()), interval,
                           min_doc_count, offset, extended_bounds)
-
-    def _hist_one(self, r, p, field, q_terms, mode, range_field, interval,
-                  offset=0.0):
-        v = _shard_range_values(r, p, self.tombstones, field, q_terms,
-                                mode, range_field)
-        if v.size == 0:
-            return []
-        b = np.floor((v - offset) / interval) * interval + offset
-        u, c = np.unique(b, return_counts=True)
-        return [(float(bv), int(n)) for bv, n in zip(u, c)]
 
     def stats_aggregation(self, query: str, range_field: str,
                           field: str = "content", mode: str = "or",
@@ -5655,30 +5416,8 @@ class Searcher:
             return self._stats_exact_distributed(
                 field, q_terms, mode, range_field, quantiles)
         # per-shard partials; values/digests ship only for quantiles
-        if self.use_actors:
-            parts = ray.get([
-                a.stats_local.remote(field, q_terms, mode, range_field,
-                                     qmode)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                v = _shard_range_values(r, p, self.tombstones, field,
-                                        q_terms, mode, range_field)
-                if not v.size:
-                    parts.append({"count": 0})
-                    continue
-                d = {"count": int(v.size), "min": float(v.min()),
-                     "max": float(v.max()), "sum": float(v.sum()),
-                     "sum_sq": float(np.square(v).sum())}
-                if qmode == "exact":
-                    d["values"] = v
-                elif qmode == "tdigest":
-                    from ..stages.sketches import TDigest
-                    td = TDigest()
-                    td.add(v)
-                    d["digest"] = td.to_arrays()
-                parts.append(d)
+        parts = self._scatter(_grp_stats, field, q_terms, mode,
+                              range_field, qmode)
         live = [d for d in parts if d["count"]]
         if not live:
             return {"count": 0}
@@ -5710,7 +5449,7 @@ class Searcher:
         value, the percent of the match set's ``range_field`` values
         <= it.  Runs on the distributed-exact machinery — each shard
         answers count-<=-probe over its OWN matched values
-        (``count_le_local``, match set memoized shard-side); only
+        (``_grp_count_le``, match set memoized shard-side); only
         len(values)+1 ints per shard travel, never a data value.
         Returns [(value, rank_pct)] in input order."""
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
@@ -5721,20 +5460,8 @@ class Searcher:
         pr = np.asarray(probes, dtype=np.float64)
         # per-shard count-<= partials sum correctly: each doc's
         # whole match decision is local to exactly one shard
-        if self.use_actors:
-            rows = ray.get([
-                a.count_le_local.remote(field, list(q_terms), mode,
-                                        range_field, probes)
-                for a in self.actors])
-            tot = np.sum(np.asarray(rows, dtype=np.int64), axis=0)
-        else:
-            tot = np.zeros(len(probes), dtype=np.int64)
-            for p, r in self.readers.items():
-                v = _shard_range_values(r, p, self.tombstones, field,
-                                        q_terms, mode, range_field)
-                if v.size:
-                    tot += np.searchsorted(np.sort(v), pr,
-                                           side="right")
+        tot = self._probe_sum(_grp_count_le, field, list(q_terms), mode,
+                              range_field, probes)
         n = int(tot[-1])
         if n == 0:
             return []
@@ -5754,46 +5481,16 @@ class Searcher:
         needed order statistic is located by bisection over the
         ordered-bits encoding of float64 (:func:`_f64_to_ord`), where
         every round asks each shard only "how many of YOUR matched
-        values are <= these probes?" (``PartActor.count_le_local``,
+        values are <= these probes?" (``_grp_count_le``,
         match set memoized shard-side).  <= 64 tiny rounds, O(#ranks)
         floats per round per shard; the only data values the driver
         ever sees are the final order statistics themselves.  Output
         is bit-identical to ``quantile_method='exact'`` (same linear
         interpolation as np.quantile / DuckDB quantile_cont)."""
-        if self.use_actors:
-            parts = ray.get([
-                a.stats_local.remote(field, q_terms, mode, range_field,
-                                     "none")
-                for a in self.actors])
-
-            def count_le(probes: list[float]) -> np.ndarray:
-                rows = ray.get([
-                    a.count_le_local.remote(field, list(q_terms), mode,
-                                            range_field, probes)
-                    for a in self.actors])
-                return np.sum(np.asarray(rows, dtype=np.int64), axis=0)
-        else:
-            sorted_vals: list[np.ndarray] = []
-            parts = []
-            for p, r in self.readers.items():
-                v = _shard_range_values(r, p, self.tombstones, field,
-                                        q_terms, mode, range_field)
-                if v.size:
-                    parts.append({"count": int(v.size),
-                                  "min": float(v.min()),
-                                  "max": float(v.max()),
-                                  "sum": float(v.sum()),
-                                  "sum_sq": float(np.square(v).sum())})
-                    sorted_vals.append(np.sort(v))
-                else:
-                    parts.append({"count": 0})
-
-            def count_le(probes: list[float]) -> np.ndarray:
-                pr = np.asarray(probes, dtype=np.float64)
-                tot = np.zeros(pr.size, dtype=np.int64)
-                for sv in sorted_vals:
-                    tot += np.searchsorted(sv, pr, side="right")
-                return tot
+        parts = self._scatter(_grp_stats, field, q_terms, mode,
+                              range_field, "none")
+        count_le = functools.partial(self._probe_sum, _grp_count_le, field,
+                                     list(q_terms), mode, range_field)
         live = [d for d in parts if d["count"]]
         if not live:
             return {"count": 0}
@@ -5827,7 +5524,7 @@ class Searcher:
         keyword fields (their doc lists ARE the field-exists index)
         and from the range-table ids for numeric fields (nulls never
         enter either structure).  Both counts are additive per shard
-        (``presence_local`` — two ints travel per shard group; no
+        (``_grp_presence`` — two ints travel per shard group; no
         value census, no posting gather)."""
         if analyzer is None:
             analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
@@ -5837,23 +5534,8 @@ class Searcher:
             return (0, 0)
         is_range = agg_field in tuple(
             self.manifest["config"].get("range_fields") or ())
-        if self.use_actors:
-            pairs = ray.get([
-                a.presence_local.remote(field, q_terms, mode,
-                                        agg_field, is_range)
-                for a in self.actors])
-        else:
-            pairs = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                if cand.size == 0:
-                    continue
-                pairs.append((
-                    _count_presence(self.index_dir, agg_field, cand,
-                                    dparts=[p], is_range=is_range),
-                    int(cand.size)))
+        pairs = self._scatter(_grp_presence, field, q_terms, mode,
+                              agg_field, is_range)
         with_field = sum(w for w, _ in pairs)
         total = sum(n for _, n in pairs)
         return (int(with_field), int(total) - int(with_field))
@@ -5867,43 +5549,27 @@ class Searcher:
         ``mad()`` parity: median(|x - median(x)|), both medians
         linearly interpolated).
 
-        With an actor pool this runs fully distributed:
-        the median comes from the count-probe bisection
-        (:meth:`_stats_exact_distributed`), then the deviation median
-        bisects over shard-side TRANSFORMED values
-        (``count_dev_le_local`` counts ``fl(|x - med|) <= d`` — the
-        same float arithmetic the driver-side reference uses, so the
-        result is exact by construction; probing ``x <= fl(med+d)``
-        instead would quantize at ulp(med)).  No matched value ever
-        leaves its shard.  An in-process searcher computes from the
-        per-part values directly."""
+        Fully distributed: the median comes from the count-probe
+        bisection (:meth:`_stats_exact_distributed`), then the
+        deviation median bisects over shard-side TRANSFORMED values
+        (``_grp_count_dev_le`` counts ``fl(|x - med|) <= d`` — the
+        same float arithmetic as the reference np.median(np.abs(v -
+        med)), so the result is exact by construction; probing
+        ``x <= fl(med+d)`` instead would quantize at ulp(med)).  No
+        matched value ever leaves its shard."""
         an = ANALYZERS[self._analyzer_for(field, analyzer)]
         q_terms = an(query)
         if not q_terms:
             return None
-        if not self.use_actors:
-            vs = [
-                _shard_range_values(r, p, self.tombstones, field,
-                                    q_terms, mode, range_field)
-                for p, r in self.readers.items()]
-            live = [x for x in vs if x.size]
-            if not live:
-                return None
-            v = np.concatenate(live)
-            return float(np.median(np.abs(v - np.median(v))))
         st = self._stats_exact_distributed(field, q_terms, mode,
                                            range_field, (0.5,))
         if not st.get("count"):
             return None
         n = int(st["count"])
         med = float(st["p50"])
-
-        def dev_count_le(ds: list[float]) -> np.ndarray:
-            rows = ray.get([
-                a.count_dev_le_local.remote(field, list(q_terms), mode,
-                                            range_field, med, ds)
-                for a in self.actors])
-            return np.sum(np.asarray(rows, dtype=np.int64), axis=0)
+        dev_count_le = functools.partial(
+            self._probe_sum, _grp_count_dev_le, field, list(q_terms),
+            mode, range_field, med)
 
         # fl(|x-med|) <= max(|min-med|, |max-med|) holds for every x
         # (abs/sub round toward the true value, whose max is attained
@@ -5939,17 +5605,8 @@ class Searcher:
         if not q_terms:
             return [(rg, 0) for rg in ranges]
         totals = [0] * len(ranges)
-        if self.use_actors:
-            parts = ray.get([a.range_local.remote(field, q_terms, mode,
-                                                  range_field, ranges)
-                             for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                v = _shard_range_values(r, p, self.tombstones, field,
-                                        q_terms, mode, range_field)
-                parts.append(_range_bucket_counts(v, ranges)
-                             if v.size else [0] * len(ranges))
+        parts = self._scatter(_grp_range, field, q_terms, mode,
+                              range_field, ranges)
         for row in parts:
             for i, n in enumerate(row):
                 totals[i] += n
@@ -6102,17 +5759,9 @@ class Searcher:
                 "sxx": 0.0, "syy": 0.0, "sxy": 0.0}
         if not q_terms:
             return zero
-        if self.use_actors:
-            parts = ray.get([a.comoments_local.remote(
-                field, list(q_terms), mode, f1, f2)
-                for a in self.actors])
-        else:
-            parts = [_shard_comoments(r, p, self.tombstones, field,
-                                      q_terms, mode, f1, f2)
-                     for p, r in self.readers.items()]
-        for part in parts:
-            for k in zero:
-                zero[k] += part[k]
+        for part in self._scatter(_grp_comoments, field, list(q_terms),
+                                  mode, f1, f2):
+            _add_counts(zero, part)
         return zero
 
     def matrix_stats(self, query: str, fields: tuple[str, str],
@@ -6252,30 +5901,13 @@ class Searcher:
             if not q_terms:
                 out[name] = 0
                 continue
-            if self.use_actors:
-                out[name] = sum(ray.get(
-                    [a.count_local.remote(field, q_terms, mode)
-                     for a in self.actors]))
-            else:
-                n = 0
-                for r in self.readers.values():
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                    n += int(cand.size)
-                out[name] = n
+            out[name] = sum(self._scatter(_grp_count, field, q_terms,
+                                          mode))
         if other_bucket_key is not None:
             live = [(list(specs[name]), mode)
                     for name, (_q, mode) in filters.items() if specs[name]]
             n_live = int(self.stats["n_docs"]) - int(self.tombstones.size)
-            if self.use_actors:
-                union = sum(ray.get(
-                    [a.filters_union_local.remote(field, live)
-                     for a in self.actors]))
-            else:
-                union = sum(
-                    _filters_union_size(r, field, live, self.tombstones)
-                    for r in self.readers.values())
+            union = sum(self._scatter(_grp_filters_union, field, live))
             out[other_bucket_key] = n_live - union
         return out
 
@@ -6295,33 +5927,9 @@ class Searcher:
                  for name, (query, mode) in filters.items()]
         specs = [(n, t, m) for n, t, m in specs if t]
         out: dict[str, int] = {}
-        if self.use_actors:
-            parts = ray.get([a.adjacency_local.remote(
-                field, [(n, list(t), m) for n, t, m in specs])
-                for a in self.actors])
-        else:
-            parts = []
-            for r in self.readers.values():
-                cands = []
-                for name, q_terms, mode in specs:
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand,
-                                               self.tombstones)]
-                    cands.append((name, cand))
-                d: dict[str, int] = {}
-                for i, (a, ca) in enumerate(cands):
-                    if ca.size:
-                        d[a] = int(ca.size)
-                    for b, cb in cands[i + 1:]:
-                        n = int(np.intersect1d(
-                            ca, cb, assume_unique=True).size)
-                        if n:
-                            d[f"{a}&{b}"] = n
-                parts.append(d)
-        for d in parts:
-            for k, n in d.items():
-                out[k] = out.get(k, 0) + n
+        for d in self._scatter(_grp_adjacency, field,
+                               [(n, list(t), m) for n, t, m in specs]):
+            _add_counts(out, d)
         return out
 
     # auto_date_histogram interval ladder, in seconds — the OpenSearch
@@ -6388,24 +5996,9 @@ class Searcher:
             if not q_terms:
                 return [], None
         counts: dict[tuple, int] = {}
-        if self.use_actors:
-            parts = ray.get([a.composite_local.remote(sources, field,
-                                                      q_terms, mode)
-                             for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = None
-                if q_terms is not None:
-                    cand = _candidate_ids(r, field, q_terms, mode)
-                    if cand.size and self.tombstones.size:
-                        cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(_composite_partial(
-                    self.index_dir, sources, cand, self.tombstones,
-                    dparts=[p]))
-        for d in parts:
-            for t, n in d.items():
-                counts[t] = counts.get(t, 0) + n
+        for d in self._scatter(_grp_composite, sources, field, q_terms,
+                               mode):
+            _add_counts(counts, d)
         keys = sorted(counts)
         if after is not None:
             keys = [k for k in keys if k > tuple(after)]
@@ -6491,6 +6084,7 @@ class Searcher:
             total += rec(1, [int(p0)], int(p0), int(p0))
         return total
 
+    @_routed(_no_dfs)
     def span_near(self, terms: list[str], field: str = "content",
                   slop: int = 0, k: int = 10,
                   analyzer: str | None = None,
@@ -6570,7 +6164,13 @@ class Searcher:
         {"span_within": {"little": e, "big": e}},
         {"field_masking_span": {"query": e, "field": f}} (Lucene
         SpanFieldMaskingQuery — the inner span evaluates against
-        another field's postings/positions and composes here),
+        field ``f``'s postings/positions and composes here.
+        Deviation: ``field`` names the SOURCE field the inner span
+        reads, the inverse of OpenSearch, where ``field`` is the
+        masked-as (outer) field and the inner query names its own
+        source; the engine's bare-string leaves carry no field, so
+        a ported query that sets ``field`` to the outer field is a
+        no-op here),
         {"span_multi": {"match": {"prefix"|"wildcard"|"regexp"|
         "fuzzy": {field: pattern}}}} (Lucene SpanMultiTermQuery-
         Wrapper — the pattern expands against the term dictionary
@@ -6801,6 +6401,7 @@ class Searcher:
             rec(1, [sp], sp[0], sp[1], sp[1] - sp[0])
         return out
 
+    @_routed(_no_dfs)
     def span_query(self, expr, field: str = "content", k: int = 10,
                    analyzer: str | None = None) -> list[tuple[int, int]]:
         """Composable span query (OpenSearch span family): evaluate a
@@ -6898,17 +6499,6 @@ class Searcher:
         node = self._intervals_to_span(rule, an)
         return self.span_query(node, field=field, k=k, analyzer=analyzer)
 
-    def intervals_query_sharded(self, field: str, rule: dict, k: int = 10,
-                                analyzer: str | None = None
-                                ) -> list[tuple[int, int]]:
-        """:meth:`intervals_query` per doc shard (pure position counts
-        — no dfs round needed)."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        node = self._intervals_to_span(rule, an)
-        return self._exec_doc_sharded(
-            "span_query",
-            dict(expr=node, field=field, k=k, analyzer=analyzer), k)
-
     @staticmethod
     def _sloppy_count(shifted: list[np.ndarray], slop: int) -> int:
         """Number of windows where one position per term fits in a
@@ -6998,6 +6588,7 @@ class Searcher:
                     matches[int(d)] = n
         return toks, terms, matches
 
+    @_routed(_no_dfs)
     def match_phrase_prefix(self, query: str, field: str = "content",
                             k: int = 10, max_expansions: int = 50,
                             analyzer: str | None = None
@@ -7078,6 +6669,7 @@ class Searcher:
         out.sort(key=lambda td: (-td[0], td[1]))
         return out[:k]
 
+    @_routed(_no_dfs)
     def phrase_search(self, query: str, field: str = "content",
                       k: int = 10, analyzer: str | None = None,
                       slop: int = 0) -> list[tuple[int, int]]:
@@ -7092,6 +6684,7 @@ class Searcher:
         ranked = sorted(matches.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
         return [(tf, d) for d, tf in ranked]
 
+    @_routed(_plan_phrase_scored)
     def phrase_search_scored(self, query: str, field: str = "content",
                              k: int = 10, analyzer: str | None = None,
                              k1: float = K1, b: float = B
@@ -7121,70 +6714,6 @@ class Searcher:
         out.sort(key=lambda sd: (-sd[0], sd[1]))
         return out[:k]
 
-    def search_doc_sharded(self, query: str, field: str = "content",
-                           k: int = 10, mode: str = "or",
-                           method: str = "auto",
-                           filter_field: str | None = None,
-                           filter_value: str | None = None,
-                           analyzer: str | None = None,
-                           search_after: tuple[float, int] | None = None,
-                           k1: float = K1, b: float = B
-                           ) -> list[tuple[float, int]]:
-        """Scatter-gather execution over the doc-partitioned index:
-        round 1 collects per-shard df
-        and sums it into global df; round 2 has every shard score its
-        own docs with global idf/avgdl/N and return its local top-k;
-        the driver merges P*k rows.  OpenSearch dfs_query_then_fetch
-        parity (3 doc shards, reference command_index.txt:8) — a
-        high-df term's postings never leave their shard, so query cost
-        at the driver is O(P*k), independent of df (verdict round 1,
-        item 4)."""
-        if analyzer is None:
-            analyzer = next((a for f, _, a in self.manifest["config"]["fields"]
-                             if f == field), "code")
-        q_terms = ANALYZERS[analyzer](query)
-        if not q_terms:
-            return []
-        uniq_terms = list(dict.fromkeys(q_terms))
-        n_docs = int(self.stats["n_docs"])
-        avgdl = float(self.stats["avgdl"][field])
-        global_df = self._term_dfs(field, uniq_terms)
-        idf_by_term = {t: float(idf_fn(global_df.get(t, 0), n_docs))
-                       for t in uniq_terms}
-        if self.use_actors:
-            shard_hits = ray.get([
-                a.score_local.remote(field, q_terms, idf_by_term, n_docs,
-                                     avgdl, k, mode, method, filter_field,
-                                     filter_value, k1, b, search_after)
-                for a in self.actors])
-        else:
-            shard_hits = []
-            for p, r in self.readers.items():
-                rows = {t: r.raw_rows(field, t) for t in uniq_terms}
-                rows = {t: v for t, v in rows.items() if v}
-                terms = prepare_terms(q_terms, rows, n_docs, avgdl, k1, b,
-                                      idf_by_term=idf_by_term,
-                                      exclude_ids=self.tombstones)
-                filt = None
-                if filter_field is not None:
-                    filt = r.filter_docs(filter_field, filter_value,
-                                         dparts=[p])
-                shard_hits.append(
-                    _dispatch(method, terms, k, mode, avgdl, filt, k1, b,
-                              search_after))
-        merged = [h for hs in shard_hits for h in hs]
-        merged.sort(key=lambda sd: (-sd[0], sd[1]))
-        return merged[:k]
-
-    # --- full query DSL on the doc-sharded layout ------------------
-    # Every method below is the scale-default execution shape
-    # (OpenSearch parity: queries execute per doc shard,
-    # command_index.txt:8): round 1 sums per-shard df into global idf
-    # where scoring needs it, round 2 ships the query to each
-    # PartActor whose shard-local Searcher runs the SAME code path
-    # over only its doc slice, and the driver merges P*k rows.
-    # Doc shards are disjoint, so the merged top-k is exact.
-
     def _analyzer_for(self, field: str, analyzer: str | None) -> str:
         if analyzer is not None:
             return analyzer
@@ -7195,12 +6724,13 @@ class Searcher:
                           idf_terms: list[str] | None = None,
                           field: str = "content",
                           idf: dict[str, float] | None = None,
-                          stats_override: dict | None = None
-                          ) -> list[tuple]:
-        """Scatter ``method(**kwargs)`` to every shard group and merge
-        the local top-k lists by (rank-key desc, doc_id asc) — exact
-        because doc shards partition the corpus.  ``idf_terms`` adds
-        the dfs round: global df -> idf, injected into each shard's
+                          stats_override: dict | None = None,
+                          merge=None) -> list[tuple]:
+        """Run ``method(**kwargs)`` on every shard group and merge the
+        results — by ``merge(results)`` when given, else the local
+        top-k lists by (rank-key desc, doc_id asc), exact because doc
+        shards partition the corpus.  ``idf_terms`` adds the dfs
+        round: global df -> idf, injected into each shard's
         prepare_terms/phrase scoring via _idf_overrides.  A preset
         ``idf`` / ``stats_override`` skips the dfs round — the
         cross-index federation channel (MultiSearcher computes them
@@ -7210,488 +6740,11 @@ class Searcher:
             n_docs = int(self.stats["n_docs"])
             dfs = self._term_dfs(field, uniq)
             idf = {t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in uniq}
-        if self.use_actors:
-            shard_hits = ray.get([
-                a.exec_local.remote(method, kwargs, idf, stats_override)
-                for a in self.actors])
-        else:
-            # non-actor fallback: all parts live in this process, so the
-            # plain driver path (gather merges every shard's runs) IS
-            # the whole-corpus execution — overrides are consistent
-            self._idf_overrides = idf
-            old_stats = self.stats
-            if stats_override:
-                self.stats = {**old_stats, **stats_override}
-            try:
-                return getattr(self, method)(**kwargs)
-            finally:
-                self._idf_overrides = None
-                self.stats = old_stats
-        merged = [h for hs in shard_hits for h in hs]
-        merged.sort(key=lambda t: (-t[0], t[1]))
-        return merged[:k]
-
-    def search_bool_sharded(self, must: list[str] | None = None,
-                            should: list[str] | None = None,
-                            must_not: list[str] | None = None,
-                            field: str = "content", k: int = 10,
-                            minimum_should_match: int | None = None,
-                            filter_field: str | None = None,
-                            filter_value: str | None = None,
-                            range_field: str | None = None,
-                            range_lo=None, range_hi=None,
-                            filters=None,
-                            analyzer: str | None = None,
-                            k1: float = K1, b: float = B
-                            ) -> list[tuple[float, int]]:
-        """:meth:`search_bool` executed per doc shard (must_not /
-        filters / ranges apply inside each shard against its own doc
-        slice; scoring uses global idf)."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        toks = [t for s in (must or []) + (should or []) for t in an(s)]
-        return self._exec_doc_sharded(
-            "search_bool",
-            dict(must=must, should=should, must_not=must_not, field=field,
-                 k=k, minimum_should_match=minimum_should_match,
-                 filter_field=filter_field, filter_value=filter_value,
-                 range_field=range_field, range_lo=range_lo,
-                 range_hi=range_hi, filters=filters,
-                 analyzer=analyzer, k1=k1, b=b),
-            k, idf_terms=toks, field=field)
-
-    def multi_match_sharded(self, query: str, fields: list[str],
-                            k: int = 10,
-                            match_type: str = "best_fields",
-                            tie_breaker: float = 0.0,
-                            analyzer: str | None = None,
-                            k1: float = K1, b: float = B
-                            ) -> list[tuple[float, int]]:
-        """:meth:`multi_match` per doc shard.  idf must be global PER
-        FIELD (the same term can carry different dfs in different
-        fields), so the dfs round here builds one idf dict per field
-        and ships the bundle through the method kwargs rather than the
-        single-field ``_idf_overrides`` channel.  Phrase types route
-        back to the full-set combine path (phrase exactness needs the
-        complete per-field match sets; the phrase machinery gathers
-        per layout underneath)."""
-        if match_type in ("phrase", "phrase_prefix"):
-            return self.multi_match(query, fields, k=k,
-                                    match_type=match_type,
-                                    tie_breaker=tie_breaker,
-                                    analyzer=analyzer, k1=k1, b=b)
-        n_docs = int(self.stats["n_docs"])
-        idf_by_field: dict[str, dict[str, float]] = {}
-        if match_type == "cross_fields" and fields:
-            # blended df (max across fields) -> ONE idf dict shipped
-            # for every field — the term-centric dfs round
-            names = [s.partition("^")[0] for s in fields]
-            toks = list(dict.fromkeys(
-                ANALYZERS[self._analyzer_for(names[0], analyzer)](query)))
-            per_field = {n: self._term_dfs(n, toks) for n in set(names)}
-            blended = {t: float(idf_fn(
-                max(d.get(t, 0) for d in per_field.values()), n_docs))
-                for t in toks}
-            idf_by_field = {n: blended for n in set(names)}
-        else:
-            for spec in fields:
-                name = spec.partition("^")[0]
-                toks = list(dict.fromkeys(
-                    ANALYZERS[self._analyzer_for(name, analyzer)](query)))
-                if not toks:
-                    continue
-                dfs = self._term_dfs(name, toks)
-                idf_by_field[name] = {
-                    t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in toks}
-        return self._exec_doc_sharded(
-            "multi_match",
-            dict(query=query, fields=fields, k=k, match_type=match_type,
-                 tie_breaker=tie_breaker, analyzer=analyzer, k1=k1, b=b,
-                 _idf_by_field=idf_by_field),
-            k)
-
-    def geo_bounding_box_search_sharded(
-            self, query: str, lat_field: str, lon_field: str,
-            top_left: tuple[float, float],
-            bottom_right: tuple[float, float], field: str = "content",
-            k: int = 10, mode: str = "or", analyzer: str | None = None,
-            k1: float = K1, b: float = B) -> list[tuple[float, int]]:
-        """:meth:`geo_bounding_box_search` per doc shard: each shard
-        probes only its own range tables and scores with global idf."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        return self._exec_doc_sharded(
-            "geo_bounding_box_search",
-            dict(query=query, lat_field=lat_field, lon_field=lon_field,
-                 top_left=top_left, bottom_right=bottom_right,
-                 field=field, k=k, mode=mode, analyzer=analyzer,
-                 k1=k1, b=b),
-            k, idf_terms=an(query), field=field)
-
-    def geo_distance_search_sharded(
-            self, query: str, lat_field: str, lon_field: str,
-            origin: tuple[float, float], distance_km: float,
-            field: str = "content", k: int = 10, mode: str = "or",
-            analyzer: str | None = None,
-            k1: float = K1, b: float = B) -> list[tuple[float, int]]:
-        """:meth:`geo_distance_search` per doc shard — the haversine
-        runs on each shard's own latitude band."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        return self._exec_doc_sharded(
-            "geo_distance_search",
-            dict(query=query, lat_field=lat_field, lon_field=lon_field,
-                 origin=origin, distance_km=distance_km, field=field,
-                 k=k, mode=mode, analyzer=analyzer, k1=k1, b=b),
-            k, idf_terms=an(query), field=field)
-
-    def geo_polygon_search_sharded(
-            self, query: str, lat_field: str, lon_field: str,
-            points: list[tuple[float, float]], field: str = "content",
-            k: int = 10, mode: str = "or", analyzer: str | None = None,
-            k1: float = K1, b: float = B) -> list[tuple[float, int]]:
-        """:meth:`geo_polygon_search` per doc shard — each shard runs
-        the half-plane tests on its own latitude band and scores with
-        global idf; only P×k (score, doc) tuples reach the driver."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        return self._exec_doc_sharded(
-            "geo_polygon_search",
-            dict(query=query, lat_field=lat_field, lon_field=lon_field,
-                 points=points, field=field, k=k, mode=mode,
-                 analyzer=analyzer, k1=k1, b=b),
-            k, idf_terms=an(query), field=field)
-
-    def combined_fields_sharded(self, query: str, fields: list[str],
-                                k: int = 10, analyzer: str | None = None,
-                                k1: float = K1, b: float = B
-                                ) -> list[tuple[float, int]]:
-        """:meth:`combined_fields` per doc shard.  The dfs round ships
-        the per-shard UNION df partials (one int per term per shard —
-        exact, since doc shards partition the corpus), sums them into
-        global idf, then every shard scores its slice with the
-        combined quantities; only P*k (score, doc_id) rows return."""
-        specs = self._cf_specs(fields)
-        if not specs:
-            return []
-        an0 = self._analyzer_for(specs[0][0], analyzer)
-        uniq = list(dict.fromkeys(ANALYZERS[an0](query)))
-        if not uniq:
-            return []
-        if self.use_actors:
-            partials = ray.get([
-                a.exec_local.remote("combined_union_df",
-                                    dict(terms=uniq, fields=fields), None)
-                for a in self.actors])
-            dfs: dict[str, int] = {}
-            for p in partials:
-                for t, n in p.items():
-                    dfs[t] = dfs.get(t, 0) + int(n)
-        else:
-            dfs = self.combined_union_df(uniq, fields)
-        n_docs = int(self.stats["n_docs"])
-        idf = {t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in uniq}
-        return self._exec_doc_sharded(
-            "combined_fields",
-            dict(query=query, fields=fields, k=k, analyzer=analyzer,
-                 k1=k1, b=b, _idf_override=idf), k)
-
-    def phrase_search_sharded(self, query: str, field: str = "content",
-                              k: int = 10, analyzer: str | None = None,
-                              slop: int = 0) -> list[tuple[int, int]]:
-        """:meth:`phrase_search` per doc shard — positions decode where
-        they live; only (phrase_tf, doc_id) rows travel.  phrase_tf is
-        a pure per-doc count, so no dfs round is needed."""
-        return self._exec_doc_sharded(
-            "phrase_search",
-            dict(query=query, field=field, k=k, analyzer=analyzer,
-                 slop=slop), k)
-
-    def phrase_search_scored_sharded(self, query: str,
-                                     field: str = "content", k: int = 10,
-                                     analyzer: str | None = None,
-                                     k1: float = K1, b: float = B
-                                     ) -> list[tuple[float, int]]:
-        """:meth:`phrase_search_scored` per doc shard with global idf
-        for the phrase tokens (Lucene PhraseQuery idf-sum)."""
-        toks, _ = POSITIONAL_ANALYZERS[
-            self._analyzer_for(field, analyzer)](query)
-        return self._exec_doc_sharded(
-            "phrase_search_scored",
-            dict(query=query, field=field, k=k, analyzer=analyzer,
-                 k1=k1, b=b),
-            k, idf_terms=toks, field=field)
-
-    def match_phrase_prefix_sharded(self, query: str,
-                                    field: str = "content", k: int = 10,
-                                    max_expansions: int = 50,
-                                    analyzer: str | None = None
-                                    ) -> list[tuple[int, int]]:
-        """:meth:`match_phrase_prefix` per doc shard.  The prefix
-        expands against each shard's OWN dictionary (Lucene rewrites
-        multi-term queries per segment) — a term absent from a shard
-        can't match there anyway, so results equal the global-dict
-        rewrite whenever the expansion fits max_expansions."""
-        return self._exec_doc_sharded(
-            "match_phrase_prefix",
-            dict(query=query, field=field, k=k,
-                 max_expansions=max_expansions, analyzer=analyzer), k)
-
-    def span_near_sharded(self, terms: list[str], field: str = "content",
-                          slop: int = 0, k: int = 10,
-                          analyzer: str | None = None,
-                          in_order: bool = True) -> list[tuple[int, int]]:
-        """:meth:`span_near` per doc shard (pure position counts)."""
-        return self._exec_doc_sharded(
-            "span_near",
-            dict(terms=terms, field=field, slop=slop, k=k,
-                 analyzer=analyzer, in_order=in_order), k)
-
-    def span_query_sharded(self, expr, field: str = "content", k: int = 10,
-                           analyzer: str | None = None
-                           ) -> list[tuple[int, int]]:
-        """:meth:`span_query` (composable span algebra) per doc shard."""
-        return self._exec_doc_sharded(
-            "span_query",
-            dict(expr=expr, field=field, k=k, analyzer=analyzer), k)
-
-    def more_like_this_sharded(self, like_text: str | None = None,
-                               doc_id: int | None = None,
-                               field: str = "content", k: int = 10,
-                               max_query_terms: int = 25,
-                               min_term_freq: int = 1,
-                               min_doc_freq: int = 2,
-                               max_doc_freq: int | None = None,
-                               minimum_should_match: float | int = 0.3,
-                               analyzer: str | None = None,
-                               k1: float = K1, b: float = B
-                               ) -> list[tuple[float, int]]:
-        """:meth:`more_like_this` with doc-sharded scoring: term
-        selection is global (one (term, df) exchange + one docstore
-        fetch), then the chosen disjunction runs per shard."""
-        chosen, msm, exclude = self._mlt_select(
-            like_text, doc_id, field, max_query_terms, min_term_freq,
-            min_doc_freq, max_doc_freq, minimum_should_match, analyzer)
-        if not chosen:
-            return []
-        hits = self.search_bool_sharded(
-            should=chosen, field=field,
-            k=k + (1 if exclude is not None else 0),
-            minimum_should_match=max(msm, 1), analyzer=analyzer,
-            k1=k1, b=b)
-        if exclude is not None:
-            hits = [(s, d) for s, d in hits if d != exclude][:k]
-        return hits
-
-    def _expanded_or_sharded(self, terms: list[str], field: str, k: int,
-                             k1: float, b: float) -> list[tuple[float, int]]:
-        if not terms:
-            return []
-        return self._exec_doc_sharded(
-            "_expanded_or", dict(terms=terms, field=field, k=k, k1=k1, b=b),
-            k, idf_terms=terms, field=field)
-
-    def constant_score_sharded(self, query: str, field: str = "content",
-                               mode: str = "or", boost: float = 1.0,
-                               k: int = 10, analyzer: str | None = None
-                               ) -> list[tuple[float, int]]:
-        """:meth:`constant_score` per doc shard: each shard returns
-        its first ``k`` matching live ids (a doc's whole match
-        decision is local to its shard), every score is the constant
-        ``boost``, so the generic (-score, doc_id) merge is exactly
-        the global first-k.  No dfs round — nothing is scored."""
-        return self._exec_doc_sharded(
-            "constant_score",
-            dict(query=query, field=field, mode=mode, boost=boost, k=k,
-                 analyzer=analyzer), k)
-
-    def boosting_search_sharded(self, positive: str, negative: str,
-                                negative_boost: float = 0.5,
-                                field: str = "content", k: int = 10,
-                                analyzer: str | None = None,
-                                k1: float = K1, b: float = B
-                                ) -> list[tuple[float, int]]:
-        """:meth:`boosting_search` per doc shard with global idf for
-        the positive clause.  Demotion is per-doc local (a doc and
-        its negative-clause postings live in the same shard), so each
-        shard's demoted top-k merges exactly — the full positive
-        match set is still walked, but only WHERE IT LIVES; P*k rows
-        reach the driver instead of every positive posting."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        return self._exec_doc_sharded(
-            "boosting_search",
-            dict(positive=positive, negative=negative,
-                 negative_boost=negative_boost, field=field, k=k,
-                 analyzer=analyzer, k1=k1, b=b),
-            k, idf_terms=an(positive), field=field)
-
-    def function_score_sharded(self, query: str, field: str = "content",
-                               value_field: str | None = None,
-                               factor: float = 1.0,
-                               modifier: str = "none",
-                               boost_mode: str = "multiply", k: int = 10,
-                               analyzer: str | None = None,
-                               k1: float = K1, b: float = B,
-                               functions: list[dict] | None = None,
-                               score_mode: str = "multiply"
-                               ) -> list[tuple[float, int]]:
-        """:meth:`function_score` per doc shard: rescoring is a pure
-        per-doc transform (BM25 with global idf x functions of the
-        doc's own range-table values), so each shard's rescored local
-        top-k merges exactly.  Spec errors are validated driver-side
-        first (an actor-side raise surfaces as a RayTaskError)."""
-        if boost_mode not in ("multiply", "sum", "avg", "min", "max",
-                              "replace"):
-            raise ValueError(f"unsupported boost_mode {boost_mode!r}")
-        if score_mode not in ("multiply", "sum", "avg", "min", "max"):
-            raise ValueError(f"unsupported score_mode {score_mode!r}")
-        if functions is None and value_field is None:
-            raise ValueError("function_score field_value_factor needs "
-                             "value_field")
-        if functions is not None and not functions:
-            raise ValueError("function_score needs at least one function")
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        return self._exec_doc_sharded(
-            "function_score",
-            dict(query=query, field=field, value_field=value_field,
-                 factor=factor, modifier=modifier, boost_mode=boost_mode,
-                 k=k, analyzer=analyzer, k1=k1, b=b, functions=functions,
-                 score_mode=score_mode),
-            k, idf_terms=an(query), field=field)
-
-    def collapse_search_sharded(self, query: str, collapse_field: str,
-                                field: str = "content", k: int = 10,
-                                analyzer: str | None = None,
-                                k1: float = K1, b: float = B
-                                ) -> list[tuple[float, int, str]]:
-        """:meth:`collapse_search` per doc shard: best-per-value is an
-        associative max under (score desc, doc_id asc), so each shard
-        ships its OWN best (score, doc) per collapse value (<= its
-        distinct-value count of tuples — k*|values| driver traffic,
-        never a posting) and the driver max-merges per value, then
-        ranks the representatives.  Scoring uses global idf, so the
-        result is identical to the in-process driver run."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        q_terms = an(query)
-        if not q_terms:
-            return []
-        kwargs = dict(query=query, collapse_field=collapse_field,
-                      field=field, k=1 << 31, analyzer=analyzer,
-                      k1=k1, b=b)
-        if not self.use_actors:
-            # all parts local: the driver path IS whole-corpus execution
-            return self.collapse_search(query, collapse_field, field, k,
-                                        analyzer, k1, b)
-        uniq = list(dict.fromkeys(q_terms))
-        n_docs = int(self.stats["n_docs"])
-        dfs = self._term_dfs(field, uniq)
-        idf = {t: float(idf_fn(dfs.get(t, 0), n_docs)) for t in uniq}
-        shard_rows = ray.get([a.exec_local.remote("collapse_search",
-                                                  kwargs, idf)
-                              for a in self.actors])
-        best: dict[str, tuple[float, int]] = {}
-        for rows in shard_rows:
-            for s, d, v in rows:
-                cur = best.get(v)
-                if cur is None or (s, -d) > (cur[0], -cur[1]):
-                    best[v] = (s, d)
-        out = sorted(((s, d, v) for v, (s, d) in best.items()),
-                     key=lambda t: (-t[0], t[1]))
-        return out[:k]
-
-    def prefix_search_sharded(self, prefix: str, field: str = "content",
-                              k: int = 10, max_expansions: int = 1024,
-                              k1: float = K1, b: float = B
-                              ) -> list[tuple[float, int]]:
-        """:meth:`prefix_search` doc-sharded: the dictionary scan
-        already runs actor-side; the expanded OR then scores per shard
-        with globally-summed df per expansion."""
-        terms = self.expand_terms(prefix.lower(), field, "prefix",
-                                  max_expansions)
-        return self._expanded_or_sharded(terms, field, k, k1, b)
-
-    def match_bool_prefix_sharded(self, query: str,
-                                  field: str = "content",
-                                  k: int = 10, max_expansions: int = 1024,
-                                  analyzer: str | None = None,
-                                  k1: float = K1, b: float = B
-                                  ) -> list[tuple[float, int]]:
-        """:meth:`match_bool_prefix` doc-sharded: dictionary expansion
-        runs actor-side, the union of literal + expanded terms scores
-        per shard with globally-summed df per clause."""
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        toks = an(query)
-        if not toks:
-            return []
-        terms = list(dict.fromkeys(toks[:-1]))
-        seen = set(terms)
-        terms += [t for t in self.expand_terms(toks[-1], field, "prefix",
-                                               max_expansions)
-                  if t not in seen]
-        return self._expanded_or_sharded(terms, field, k, k1, b)
-
-    def wildcard_search_sharded(self, pattern: str, field: str = "content",
-                                k: int = 10, max_expansions: int = 1024,
-                                k1: float = K1, b: float = B
-                                ) -> list[tuple[float, int]]:
-        terms = self.expand_terms(pattern.lower(), field, "wildcard",
-                                  max_expansions)
-        return self._expanded_or_sharded(terms, field, k, k1, b)
-
-    def regexp_search_sharded(self, pattern: str, field: str = "content",
-                              k: int = 10, max_expansions: int = 1024,
-                              k1: float = K1, b: float = B
-                              ) -> list[tuple[float, int]]:
-        terms = self.expand_terms(pattern.lower(), field, "regexp",
-                                  max_expansions)
-        return self._expanded_or_sharded(terms, field, k, k1, b)
-
-    def fuzzy_search_sharded(self, term: str, field: str = "content",
-                             fuzziness: int = 1, k: int = 10,
-                             max_expansions: int = 50,
-                             transpositions: bool = False,
-                             k1: float = K1, b: float = B
-                             ) -> list[tuple[float, int]]:
-        terms = self.expand_terms(term.lower(), field, "fuzzy",
-                                  max_expansions, fuzziness=fuzziness,
-                                  transpositions=transpositions)
-        return self._expanded_or_sharded(terms, field, k, k1, b)
-
-    def query_string_sharded(self, qs: str, field: str = "content",
-                             k: int = 10, max_expansions: int = 1024,
-                             analyzer: str | None = None,
-                             k1: float = K1, b: float = B,
-                             parser: str = "qs"
-                             ) -> list[tuple[float, int]]:
-        """:meth:`query_string` per doc shard: the driver pre-expands
-        pattern clauses against the GLOBAL dictionary to compute each
-        scoring token's global idf; phrase clauses are filter-context
-        (no idf) and evaluate on local positions."""
-        from .querystring import (parse_query_string,
-                                  parse_simple_query_string)
-        if parser == "qs":
-            parsed = parse_query_string(qs)
-        else:
-            parsed = parse_simple_query_string(
-                qs, "and" if parser == "simple_and" else "or")
-            if not parsed.clauses:
-                return []
-        an = ANALYZERS[self._analyzer_for(field, analyzer)]
-        toks: list[str] = []
-        for c in parsed.clauses:
-            if c.kind == "term":
-                toks += an(c.text)
-            elif c.kind == "prefix":
-                toks += self.expand_terms(c.text.lower(), field, "prefix",
-                                          max_expansions)
-            elif c.kind == "wildcard":
-                toks += self.expand_terms(c.text.lower(), field, "wildcard",
-                                          max_expansions)
-            elif c.kind == "fuzzy":
-                toks += self.expand_terms(c.text.lower(), field, "fuzzy",
-                                          max_expansions,
-                                          fuzziness=c.fuzziness)
-        return self._exec_doc_sharded(
-            "query_string",
-            dict(qs=qs, field=field, k=k, max_expansions=max_expansions,
-                 analyzer=analyzer, k1=k1, b=b, parser=parser),
-            k, idf_terms=toks, field=field)
+        results = self._scatter(_run_method, method, kwargs, idf,
+                                stats_override)
+        if merge is not None:
+            return merge(results)
+        return _merge_topk(results, k)
 
     def simple_query_string(self, qs: str, field: str = "content",
                             k: int = 10,
@@ -7705,18 +6758,6 @@ class Searcher:
         end-user search boxes feed it unvalidated input).  Executes
         through the query_string machinery with the simple parser."""
         return self.query_string(
-            qs, field, k, max_expansions, analyzer, k1, b,
-            parser=f"simple_{default_operator.lower()}")
-
-    def simple_query_string_sharded(self, qs: str,
-                                    field: str = "content", k: int = 10,
-                                    default_operator: str = "or",
-                                    max_expansions: int = 1024,
-                                    analyzer: str | None = None,
-                                    k1: float = K1, b: float = B
-                                    ) -> list[tuple[float, int]]:
-        """:meth:`simple_query_string` per doc shard (dfs round)."""
-        return self.query_string_sharded(
             qs, field, k, max_expansions, analyzer, k1, b,
             parser=f"simple_{default_operator.lower()}")
 
@@ -7795,24 +6836,9 @@ class Searcher:
         # doc-sharded: per-shard partial counts, summed here —
         # doc ids never leave their shard
         counts: dict[str, int] = {}
-        if self.use_actors:
-            parts = ray.get([a.agg_local.remote(field, q_terms, mode,
-                                                agg_field)
-                             for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                if cand.size:
-                    parts.append(dict(_count_filter_values(
-                        self.index_dir, agg_field, cand, dparts=[p])))
-                else:
-                    parts.append({})
-        for d in parts:
-            for v, n in d.items():
-                counts[v] = counts.get(v, 0) + n
+        for d in self._scatter(_grp_terms, field, q_terms, mode,
+                               agg_field):
+            _add_counts(counts, d)
         return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def terms_histogram_aggregation(self, query: str, agg_field: str,
@@ -7834,24 +6860,9 @@ class Searcher:
         if not q_terms:
             return []
         merged: dict[tuple[str, float], int] = {}
-        if self.use_actors:
-            parts = ray.get([
-                a.terms_hist_local.remote(field, q_terms, mode,
-                                          agg_field, range_field,
-                                          interval)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(_terms_hist_partial(
-                    self.index_dir, agg_field, range_field, interval,
-                    cand, dparts=[p]))
-        for d in parts:
-            for k, n in d.items():
-                merged[k] = merged.get(k, 0) + n
+        for d in self._scatter(_grp_terms_hist, field, q_terms, mode,
+                               agg_field, range_field, interval):
+            _add_counts(merged, d)
         out = [(v, b, n) for (v, b), n in merged.items()]
         out.sort(key=lambda r: (r[0], r[1]))
         return out
@@ -7912,26 +6923,9 @@ class Searcher:
         if not q_terms:
             return []
         merged: dict[str, tuple[int, float, float, float]] = {}
-        if self.use_actors:
-            parts = ray.get([
-                a.group_stats_local.remote(field, q_terms, mode,
-                                           agg_field, range_field)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(_group_stats_partial(
-                    self.index_dir, agg_field, range_field, cand,
-                    dparts=[p]))
-        for d in parts:
-            for v, cur in d.items():
-                prev = merged.get(v)
-                merged[v] = cur if prev is None else (
-                    prev[0] + cur[0], prev[1] + cur[1],
-                    min(prev[2], cur[2]), max(prev[3], cur[3]))
+        for d in self._scatter(_grp_group_stats, field, q_terms, mode,
+                               agg_field, range_field):
+            _add_moments(merged, d)
         out = [(v, n, s, lo, hi, s / n)
                for v, (n, s, lo, hi) in merged.items()]
         out.sort(key=lambda r: (-r[1], r[0]))
@@ -7982,27 +6976,9 @@ class Searcher:
         if not q_terms:
             return []
         merged: dict[float, tuple[int, float, float, float]] = {}
-        if self.use_actors:
-            parts = ray.get([
-                a.hist_stats_local.remote(field, q_terms, mode,
-                                          bucket_field, interval,
-                                          metric_field)
-                for a in self.actors])
-        else:
-            parts = []
-            for p, r in self.readers.items():
-                cand = _candidate_ids(r, field, q_terms, mode)
-                if cand.size and self.tombstones.size:
-                    cand = cand[_excl_mask(cand, self.tombstones)]
-                parts.append(_hist_stats_partial(
-                    self.index_dir, bucket_field, interval,
-                    metric_field, cand, dparts=[p]))
-        for d in parts:
-            for k, cur in d.items():
-                prev = merged.get(k)
-                merged[k] = cur if prev is None else (
-                    prev[0] + cur[0], prev[1] + cur[1],
-                    min(prev[2], cur[2]), max(prev[3], cur[3]))
+        for d in self._scatter(_grp_hist_stats, field, q_terms, mode,
+                               bucket_field, interval, metric_field):
+            _add_moments(merged, d)
         return [(k, n, s, lo, hi, s / n)
                 for k, (n, s, lo, hi) in sorted(merged.items())]
 

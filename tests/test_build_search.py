@@ -330,38 +330,36 @@ def test_build_deterministic_across_concurrency(
 
 
 def test_doc_sharded_rank_identity(built):
-    """dfs_query_then_fetch per-shard scoring (search_doc_sharded, in
-    process and on actors) is rank-AND-score identical to the driver
-    path that gathers every shard's postings (global idf makes per-doc
-    scores equal; the merge preserves the tie-break), and both match
-    the flat oracle."""
+    """dfs_query_then_fetch per-shard scoring (search() on an actor
+    pool) is rank-AND-score identical to the in-process searcher that
+    gathers every shard's postings (global idf makes per-doc scores
+    equal; the merge preserves the tie-break), in OR and AND mode and
+    under a keyword filter, and both match the flat oracle."""
     corpus, index_dir, _ = built
     s_drv = Searcher(index_dir, use_actors=False)
-    for q in QUERIES:
-        want = s_drv.search(q, k=20)
-        got = s_drv.search_doc_sharded(q, k=20)
-        assert [d for _, d in got] == [d for _, d in want], q
-        np.testing.assert_allclose([s for s, _ in got],
-                                   [s for s, _ in want], rtol=1e-12)
-    stats = _index_stats_for(s_drv, "content", ["def", "return"])
-    flat = flat_bm25_topk(corpus, "def return", CFG, k=20,
-                          stats_override=stats).to_pandas()
-    assert [d for _, d in s_drv.search_doc_sharded("def return", k=20)] \
-        == flat["doc_id"].tolist()
-    # AND mode + filter path
-    want = s_drv.search("def needle_137", k=20, mode="and")
-    got = s_drv.search_doc_sharded("def needle_137", k=20, mode="and")
-    assert [d for _, d in got] == [d for _, d in want]
-    want = s_drv.search("def", k=30, filter_field="lang", filter_value="go")
-    got = s_drv.search_doc_sharded("def", k=30, filter_field="lang",
-                                   filter_value="go")
-    assert [d for _, d in got] == [d for _, d in want]
-    # actor path matches local path
     s_act = Searcher(index_dir, use_actors=True)
+
+    def same(got, want, msg):
+        assert [d for _, d in got] == [d for _, d in want], msg
+        np.testing.assert_allclose([s for s, _ in got],
+                                   [s for s, _ in want], rtol=1e-12,
+                                   err_msg=msg)
+
     try:
-        for q in ("def return", "needle_137"):
-            assert s_act.search_doc_sharded(q, k=10) == \
-                s_drv.search_doc_sharded(q, k=10)
+        for q in QUERIES:
+            for mode in ("or", "and"):
+                same(s_act.search(q, k=20, mode=mode),
+                     s_drv.search(q, k=20, mode=mode), (q, mode))
+        same(s_act.search("def", k=30, filter_field="lang",
+                          filter_value="go"),
+             s_drv.search("def", k=30, filter_field="lang",
+                          filter_value="go"), "filter")
+        stats = _index_stats_for(s_drv, "content", ["def", "return"])
+        flat = flat_bm25_topk(corpus, "def return", CFG, k=20,
+                              stats_override=stats).to_pandas()
+        for s in (s_drv, s_act):
+            assert [d for _, d in s.search("def return", k=20)] \
+                == flat["doc_id"].tolist()
     finally:
         s_act.close()
 

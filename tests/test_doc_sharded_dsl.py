@@ -1,10 +1,10 @@
-"""Full query DSL on the doc-sharded index: every *_sharded method
-(and the search() auto-route) executed per shard on actors must be
-rank-AND-score identical to the in-process driver path over the same
-index, which gathers every shard's postings — global idf via the dfs
-round makes per-doc scores equal, and doc shards are disjoint so the
-merged top-k is exact.  Reference parity: OpenSearch executes every
-query per doc shard (command_index.txt:8)."""
+"""Full query DSL on the doc-sharded index: every scored method called
+on an actor-backed Searcher (which runs it per doc shard) must be
+rank-AND-score identical to the same method on an in-process Searcher
+over the same index, which gathers every shard's postings — global
+idf via the dfs round makes per-doc scores equal, and doc shards are
+disjoint so the merged top-k is exact.  Reference parity: OpenSearch
+executes every query per doc shard (command_index.txt:8)."""
 
 import json
 import os
@@ -44,78 +44,77 @@ def test_bool_sharded(pair):
     st, sd = pair
     kw = dict(must=["def"], should=["return", "import"],
               must_not=["needle_137"], minimum_should_match=1, k=25)
-    _same(sd.search_bool_sharded(**kw), st.search_bool(**kw))
+    _same(sd.search_bool(**kw), st.search_bool(**kw))
     # filter + range composition
     kw = dict(must=["def"], should=["class"], filter_field="lang",
               filter_value="go", k=25)
-    _same(sd.search_bool_sharded(**kw), st.search_bool(**kw))
+    _same(sd.search_bool(**kw), st.search_bool(**kw))
 
 
 def test_phrase_sharded(pair):
     st, sd = pair
-    _same(sd.phrase_search_sharded("def return", k=50),
+    _same(sd.phrase_search("def return", k=50),
           st.phrase_search("def return", k=50), scores=False)
-    _same(sd.phrase_search_sharded("def return", k=50, slop=2),
+    _same(sd.phrase_search("def return", k=50, slop=2),
           st.phrase_search("def return", k=50, slop=2), scores=False)
-    _same(sd.phrase_search_scored_sharded("def return", k=25),
+    _same(sd.phrase_search_scored("def return", k=25),
           st.phrase_search_scored("def return", k=25))
 
 
 def test_phrase_prefix_sharded(pair):
     st, sd = pair
-    _same(sd.match_phrase_prefix_sharded("def ret", k=30,
-                                         max_expansions=512),
+    _same(sd.match_phrase_prefix("def ret", k=30,
+                                 max_expansions=512),
           st.match_phrase_prefix("def ret", k=30, max_expansions=512),
           scores=False)
 
 
 def test_span_sharded(pair):
     st, sd = pair
-    _same(sd.span_near_sharded(["def", "return"], slop=3, k=30),
+    _same(sd.span_near(["def", "return"], slop=3, k=30),
           st.span_near(["def", "return"], slop=3, k=30), scores=False)
-    _same(sd.span_near_sharded(["return", "def"], slop=4, k=30,
-                               in_order=False),
+    _same(sd.span_near(["return", "def"], slop=4, k=30,
+                       in_order=False),
           st.span_near(["return", "def"], slop=4, k=30, in_order=False),
           scores=False)
     expr = {"span_near": {"clauses": [
         "def", {"span_or": {"clauses": ["return", "import"]}}],
         "slop": 3, "in_order": True}}
-    _same(sd.span_query_sharded(expr, k=30), st.span_query(expr, k=30),
+    _same(sd.span_query(expr, k=30), st.span_query(expr, k=30),
           scores=False)
 
 
 def test_mlt_sharded(pair):
     st, sd = pair
     like = "def return import class static void main"
-    _same(sd.more_like_this_sharded(like_text=like, k=20),
+    _same(sd.more_like_this(like_text=like, k=20),
           st.more_like_this(like_text=like, k=20))
     # stored-doc form (store_source covers content)
-    _same(sd.more_like_this_sharded(doc_id=7, k=15),
+    _same(sd.more_like_this(doc_id=7, k=15),
           st.more_like_this(doc_id=7, k=15))
 
 
 def test_multi_term_sharded(pair):
     st, sd = pair
-    _same(sd.prefix_search_sharded("need", k=20),
+    _same(sd.prefix_search("need", k=20),
           st.prefix_search("need", k=20))
-    _same(sd.wildcard_search_sharded("ret?rn", k=20),
+    _same(sd.wildcard_search("ret?rn", k=20),
           st.wildcard_search("ret?rn", k=20))
-    _same(sd.regexp_search_sharded("im[a-z]+t", k=20),
+    _same(sd.regexp_search("im[a-z]+t", k=20),
           st.regexp_search("im[a-z]+t", k=20))
-    _same(sd.fuzzy_search_sharded("retrun", fuzziness=2, k=20),
+    _same(sd.fuzzy_search("retrun", fuzziness=2, k=20),
           st.fuzzy_search("retrun", fuzziness=2, k=20))
 
 
 def test_query_string_sharded(pair):
     st, sd = pair
     for qs in ('+def return -needle_137', '"def return" lang:go imp*'):
-        _same(sd.query_string_sharded(qs, k=25), st.query_string(qs, k=25))
+        _same(sd.query_string(qs, k=25), st.query_string(qs, k=25))
 
 
 def test_search_auto_routes_doc_layout(pair):
-    """search() with actors takes the per-shard path by default (no
-    search_doc_sharded call needed) and stays identical to the
-    in-process driver ranking."""
+    """search() with actors takes the per-shard path and stays
+    identical to the in-process driver ranking."""
     st, sd = pair
     for q in ("def return", "needle_137", "zz_no_such_term_zz"):
         _same(sd.search(q, k=20), st.search(q, k=20))
@@ -123,13 +122,38 @@ def test_search_auto_routes_doc_layout(pair):
           st.search("def", k=20, filter_field="lang", filter_value="go"))
 
 
-def test_gather_correct_on_doc_layout(pair):
-    """The driver-gather methods (bool here) are also CORRECT on an
-    actor-backed searcher — _gather broadcasts to every shard actor
-    and merges their runs."""
+def test_match_operator_and_both_paths(pair):
+    """A multi-word ``match`` with ``operator: and`` runs
+    search(mode="and") on both paths, on a text and a path field: the
+    actor pool and the in-process searcher return identical ids and
+    scores, equal to the direct conjunctive search."""
+    from siem_on_amazon_opensearch_service_ray.state.dsl import execute_dsl
     st, sd = pair
-    kw = dict(must=["def"], should=["return"], k=20)
-    _same(sd.search_bool(**kw), st.search_bool(**kw))
+    for field, text in (("content", "def return"), ("path", "src py")):
+        body = {"query": {"match": {field: {"query": text,
+                                            "operator": "and"}}},
+                "size": 20}
+        hits = {}
+        for name, s in (("local", st), ("actors", sd)):
+            hits[name] = [(h["_score"], h["_id"])
+                          for h in execute_dsl(s, body)["hits"]["hits"]]
+        assert hits["local"], field
+        _same(hits["actors"], hits["local"])
+        _same(hits["local"], st.search(text, field=field, k=20,
+                                       mode="and"))
+
+
+def test_gather_correct_on_doc_layout(pair):
+    """The driver gather is also CORRECT on an actor-backed searcher —
+    _gather scatters to every shard group and merges their runs into
+    the same postings the in-process searcher reads."""
+    st, sd = pair
+    terms = ["def", "return", "needle_137", "zz_no_such_term_zz"]
+    got, want = sd._gather("content", terms), st._gather("content", terms)
+    assert set(got) == set(want)
+    for t in want:
+        assert sorted(r[0] for r in got[t]) == sorted(r[0] for r in want[t])
+    assert sd._term_dfs("content", terms) == st._term_dfs("content", terms)
 
 
 def test_sharded_requires_doc_layout(pair, tmp_path):

@@ -653,7 +653,7 @@ def test_delete_by_query(ray_session, tmp_path_factory):
         assert execute_count(s, {})["count"] == n - 40
         # the live searcher no longer matches the deleted docs
         # (actor pool refreshed in the same call)
-        hits = s.search_doc_sharded("spark", k=200)
+        hits = s.search("spark", k=200)
         assert all(int(d) % 3 != 0 for _, d in hits)
         # re-delete: idempotent, nothing newly dead
         r2 = execute_delete_by_query(s, {"query": {"term":
@@ -1972,6 +1972,17 @@ def test_pit_pins_visibility(ray_session, tmp_path_factory):
         assert resp["pit_id"] == pit
         # live view restored after the PIT block
         assert {int(d) for _, d in s2.search("spark", k=1 << 31)} == live
+        # a FRESH actor pool whose first request runs under the PIT:
+        # the pinned exclusion set reaches every shard group before
+        # any query has run there
+        s3 = Searcher(idx, use_actors=True)
+        try:
+            resp = execute_dsl(s3, {
+                "query": {"prefix": {"content": "spar"}}, "size": 500,
+                "pit": {"id": pit}})
+            assert {h["_id"] for h in resp["hits"]["hits"]} == base
+        finally:
+            s3.close()
         assert execute_close_pit(s2, {"pit_id": pit}) == {
             "succeeded": True, "num_freed": 1}
         with pytest.raises(KeyError, match="unknown or closed"):

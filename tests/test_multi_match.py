@@ -96,16 +96,20 @@ def test_field_boost(mm_indexes):
 
 
 def test_doc_sharded_identical(mm_indexes):
+    """multi_match on an actor pool (per-shard, per-field global idf)
+    equals the in-process run: identical ids, scores to rtol 1e-12."""
     st, sd = mm_indexes
     for q, ty, tie in [("spark code", "best_fields", 0.3),
                        ("spark news", "most_fields", 0.0),
-                       ("gamma mail", "best_fields", 0.0)]:
+                       ("gamma mail", "best_fields", 0.0),
+                       ("spark code", "cross_fields", 0.3)]:
         a = st.multi_match(q, ["content", "lbl"], k=25,
                            match_type=ty, tie_breaker=tie)
-        b = sd.multi_match_sharded(q, ["content", "lbl"], k=25,
-                                   match_type=ty, tie_breaker=tie)
-        assert [d for _, d in a] == [d for _, d in b]
-        assert np.allclose([s for s, _ in a], [s for s, _ in b])
+        b = sd.multi_match(q, ["content", "lbl"], k=25,
+                           match_type=ty, tie_breaker=tie)
+        assert [d for _, d in a] == [d for _, d in b], ty
+        np.testing.assert_allclose([s for s, _ in a], [s for s, _ in b],
+                                   rtol=1e-12, err_msg=ty)
 
 
 def test_suggest_missing_and_always_modes(mm_indexes):
@@ -206,9 +210,9 @@ def test_cross_fields_blended_idf(mm_indexes):
     for d in want:
         np.testing.assert_allclose(got_d[d], want[d], rtol=1e-12)
     # sharded execution identical
-    sh = sd.multi_match_sharded(q, ["content", "lbl"],
-                                match_type="cross_fields",
-                                tie_breaker=0.3, k=1 << 30)
+    sh = sd.multi_match(q, ["content", "lbl"],
+                        match_type="cross_fields",
+                        tie_breaker=0.3, k=1 << 30)
     assert [d for _, d in sh] == [d for _, d in got]
     np.testing.assert_allclose([s for s, _ in sh], [s for s, _ in got],
                                rtol=1e-12)

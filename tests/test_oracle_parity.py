@@ -143,10 +143,11 @@ def test_sql_parity(registry, con, name):
     for c in got.columns:
         g, w = got[c].to_numpy(), want[c].to_numpy()
         # The driver's CORRECTNESS hash is byte/dtype sensitive: an
-        # int64-vs-float64 drift (e.g. a DuckDB HUGEINT sum landing as
-        # float64) must fail locally too, not be coerced away below.
-        assert g.dtype.kind == w.dtype.kind, \
-            f"{name}.{c}: dtype kind {g.dtype} vs oracle {w.dtype}"
+        # int32-vs-int64 or int64-vs-float64 drift (e.g. a DuckDB
+        # VALUES literal landing as int32) must fail locally too, not
+        # be coerced away below.
+        assert g.dtype == w.dtype, \
+            f"{name}.{c}: dtype {g.dtype} vs oracle {w.dtype}"
         if np.issubdtype(g.dtype, np.floating) or np.issubdtype(w.dtype, np.floating):
             np.testing.assert_allclose(
                 g.astype(float), w.astype(float), rtol=1e-9,
@@ -178,6 +179,9 @@ def test_registry_fully_covered(registry):
     qs, oracles = registry
     assert set(SQL_BACKED) == set(oracles)
     assert set(SQL_BACKED) | set(ROWS_ONLY) == set(qs)
+    # rows-only entries are checked for shape, not values: keep the
+    # unverified set from growing
+    assert len(ROWS_ONLY) <= 7
 
 
 def test_readme_inventory_counts_match_registry(registry):

@@ -115,18 +115,20 @@ def test_metric_expr_compiler_total(expr):
                min_size=0, max_size=40),
        st.sampled_from(["http", "HTTP", "https", "HtTpS"]),
        st.sampled_from(["", ":80", ":443", ":8080"]),
-       st.booleans())
+       st.lists(st.sampled_from(["www", "WWW", "wWw", "ww", "www1"]),
+                max_size=3))
 @settings(max_examples=200, deadline=None)
-def test_url_canonicalize_idempotent(tail, scheme, port, www):
+def test_url_canonicalize_idempotent(tail, scheme, port, labels):
     """canonicalize(canonicalize(u)) == canonicalize(u): every step
     (case fold, www strip, default-port drop, fragment strip, utm
     removal, root normalize) is a projection, so the chain must be
-    idempotent for any URL the extractor accepts."""
+    idempotent for any URL the extractor accepts — including hosts
+    with several leading ``www.`` labels."""
     import pyarrow as pa
 
     from siem_on_amazon_opensearch_service_ray.stages.urls import (
         canonicalize)
-    host = ("WWW.Ex-Ample.COM" if www else "Ex-Ample.COM")
+    host = "".join(f"{x}." for x in labels) + "Ex-Ample.COM"
     url = f"{scheme}://{host}{port}/{tail}"
     c1 = canonicalize(pa.array([url], pa.string()))[0].as_py()
     if c1 is None:

@@ -1,8 +1,9 @@
 """Doc-sharded execution for the scoring operators that need the full
 match set (constant_score / boosting / function_score / collapse) plus
-the presence-count aggs: every *_sharded method executed per shard on
-actors must be rank-AND-score identical to the in-process driver path
-over the same index, and function_score's
+the presence-count aggs: every method called on an actor-backed
+Searcher (which runs it per doc shard) must be rank-AND-score
+identical to the same method on an in-process Searcher over the same
+index, and function_score's
 decay / weight / score_mode surface is checked against a brute-force
 reference.  Reference parity: OpenSearch executes these per doc shard
 and merges shard-local partials (the collapse combine is an
@@ -68,23 +69,23 @@ def _same(got, want):
 def test_constant_score_sharded(pair):
     st, sd, _, _ = pair
     for q, k in [("spark join", 25), ("needle", 5), ("sql", 400)]:
-        _same(sd.constant_score_sharded(q, boost=1.5, k=k),
+        _same(sd.constant_score(q, boost=1.5, k=k),
               st.constant_score(q, boost=1.5, k=k))
     # AND mode narrows the filter set; scores stay the constant
-    _same(sd.constant_score_sharded("spark join", mode="and", k=50),
+    _same(sd.constant_score("spark join", mode="and", k=50),
           st.constant_score("spark join", mode="and", k=50))
 
 
 def test_boosting_sharded(pair):
     st, sd, _, _ = pair
     kw = dict(negative_boost=0.5, k=30)
-    _same(sd.boosting_search_sharded("spark join", "sort", **kw),
+    _same(sd.boosting_search("spark join", "sort", **kw),
           st.boosting_search("spark join", "sort", **kw))
     # demote-nothing and demote-everything edges
-    _same(sd.boosting_search_sharded("spark", "zz_nope", k=20),
+    _same(sd.boosting_search("spark", "zz_nope", k=20),
           st.boosting_search("spark", "zz_nope", k=20))
-    _same(sd.boosting_search_sharded("spark", "spark", negative_boost=0.1,
-                                     k=20),
+    _same(sd.boosting_search("spark", "spark", negative_boost=0.1,
+                             k=20),
           st.boosting_search("spark", "spark", negative_boost=0.1, k=20))
 
 
@@ -130,11 +131,11 @@ def test_rescore_cross_layout(pair):
 def test_function_score_sharded_legacy(pair):
     st, sd, _, _ = pair
     kw = dict(value_field="n_chars", factor=0.01, modifier="log1p", k=25)
-    _same(sd.function_score_sharded("spark join", **kw),
+    _same(sd.function_score("spark join", **kw),
           st.function_score("spark join", **kw))
     kw = dict(value_field="n_chars", factor=0.001, modifier="sqrt",
               boost_mode="sum", k=25)
-    _same(sd.function_score_sharded("spark join", **kw),
+    _same(sd.function_score("spark join", **kw),
           st.function_score("spark join", **kw))
 
 
@@ -151,18 +152,18 @@ def test_function_score_decay_modes_sharded(pair):
         for boost_mode in ("multiply", "sum", "replace"):
             kw = dict(functions=fns, score_mode=score_mode,
                       boost_mode=boost_mode, k=20)
-            _same(sd.function_score_sharded("spark join", **kw),
+            _same(sd.function_score("spark join", **kw),
                   st.function_score("spark join", **kw))
     for typ in ("exp", "linear"):
         fn = [{"type": typ, "field": "n_chars", "origin": 100.0,
                "scale": 50.0, "decay": 0.3}]
-        _same(sd.function_score_sharded("spark join", functions=fn, k=20),
+        _same(sd.function_score("spark join", functions=fn, k=20),
               st.function_score("spark join", functions=fn, k=20))
     # random_score: per-doc-local hash -> identical per shard,
     # deterministic across calls, seed changes the order
     fn = [{"type": "random_score", "seed": 11}]
     r1 = st.function_score("spark join", functions=fn, k=20)
-    _same(sd.function_score_sharded("spark join", functions=fn, k=20), r1)
+    _same(sd.function_score("spark join", functions=fn, k=20), r1)
     _same(st.function_score("spark join", functions=fn, k=20), r1)
     base = {d for _, d in st.search("spark join", k=20)}
     assert {d for _, d in r1} <= {d for _, d in
@@ -205,15 +206,15 @@ def test_decay_math_brute_force(pair):
 def test_function_score_spec_errors(pair):
     _, sd, _, _ = pair
     with pytest.raises(ValueError, match="boost_mode"):
-        sd.function_score_sharded("spark", value_field="n_chars",
-                                  boost_mode="xor")
+        sd.function_score("spark", value_field="n_chars",
+                          boost_mode="xor")
     with pytest.raises(ValueError, match="score_mode"):
-        sd.function_score_sharded("spark", value_field="n_chars",
-                                  score_mode="xor")
+        sd.function_score("spark", value_field="n_chars",
+                          score_mode="xor")
     with pytest.raises(ValueError, match="value_field"):
-        sd.function_score_sharded("spark")
+        sd.function_score("spark")
     with pytest.raises(ValueError, match="at least one"):
-        sd.function_score_sharded("spark", functions=[])
+        sd.function_score("spark", functions=[])
     st = pair[0]
     with pytest.raises(ValueError, match="decay"):
         st.function_score("spark", functions=[{
@@ -227,7 +228,7 @@ def test_function_score_spec_errors(pair):
 
 def test_collapse_sharded(pair):
     st, sd, docs, t = pair
-    got = sd.collapse_search_sharded("spark join", "lang", k=10)
+    got = sd.collapse_search("spark join", "lang", k=10)
     want = st.collapse_search("spark join", "lang", k=10)
     assert [(d, v) for _, d, v in got] == [(d, v) for _, d, v in want]
     np.testing.assert_allclose([s for s, _, _ in got],
@@ -345,7 +346,7 @@ def test_match_bool_prefix_cross_layout(pair):
     (literal terms + prefix expansion of the last token)."""
     s_local, s_act, docs, _ = pair
     got_t = s_local.match_bool_prefix("spark s", k=50)
-    got_d = s_act.match_bool_prefix_sharded("spark s", k=50)
+    got_d = s_act.match_bool_prefix("spark s", k=50)
     _same(got_d, got_t)
     # reference: union of 'spark' and every vocab term starting 's'
     exp = ["spark"] + sorted({w for w in VOCAB
@@ -402,7 +403,7 @@ def test_combined_fields_cross_layout_and_reference(cf_pair):
     s_local, s_act, docs, titles = cf_pair
     q, flds = "spark sort", ["content", "title^3"]
     got_t = s_local.combined_fields(q, flds, k=300)
-    got_d = s_act.combined_fields_sharded(q, flds, k=300)
+    got_d = s_act.combined_fields(q, flds, k=300)
     _same(got_d, got_t)
     # brute force
     N = len(docs)
@@ -496,7 +497,7 @@ def test_geo_queries_cross_layout(pair, tmp_path_factory, ray_session):
         box = (("spark join", "lat", "lon", (20.05, -50.05),
                 (-10.05, 30.05)))
         bt = s_t.geo_bounding_box_search(*box, k=300)
-        bd = s_d.geo_bounding_box_search_sharded(*box, k=300)
+        bd = s_d.geo_bounding_box_search(*box, k=300)
         _same(bd, bt)
         inside = {i for i in range(300)
                   if -10.05 <= -40.0 + (i % 100) * 0.9 <= 20.05
@@ -506,7 +507,7 @@ def test_geo_queries_cross_layout(pair, tmp_path_factory, ray_session):
         _same(bt, ref)
         dq = ("spark join", "lat", "lon", (0.0, 0.0), 2000.0)
         dt = s_t.geo_distance_search(*dq, k=300)
-        dd = s_d.geo_distance_search_sharded(*dq, k=300)
+        dd = s_d.geo_distance_search(*dq, k=300)
         _same(dd, dt)
         import math
         def hav(la, lo):
@@ -531,7 +532,7 @@ def test_geo_queries_cross_layout(pair, tmp_path_factory, ray_session):
                 (15.03, 55.01), (25.09, -60.07)]  # (lat, lon), CCW
         pq_args = ("spark join", "lat", "lon", ring)
         pt = s_t.geo_polygon_search(*pq_args, k=300)
-        pd_ = s_d.geo_polygon_search_sharded(*pq_args, k=300)
+        pd_ = s_d.geo_polygon_search(*pq_args, k=300)
         _same(pd_, pt)
         vx = [lo for _la, lo in ring]
         vy = [la for la, _lo in ring]

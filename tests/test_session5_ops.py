@@ -29,6 +29,17 @@ def _toks(x):
     return re.findall(r"[a-z0-9_]+", x.lower())
 
 
+def _paths_agree(searchers, method, *args, **kw):
+    """The public method on the actor pool and in process: identical
+    ids, scores to rtol 1e-12."""
+    a = getattr(searchers["actors"], method)(*args, **kw)
+    b = getattr(searchers["local"], method)(*args, **kw)
+    assert [d for _, d in a] == [d for _, d in b], method
+    np.testing.assert_allclose([s for s, _ in a], [s for s, _ in b],
+                               rtol=1e-12, err_msg=method)
+    return b
+
+
 @pytest.fixture(scope="module")
 def corpora(ray_session, tmp_path_factory):
     rng = np.random.default_rng(55)
@@ -147,14 +158,15 @@ def test_terms_set_per_doc_minimum(corpora):
                     tf + 1.2 * (1 - 0.75 + 0.75 * dq / avgdl))
         exp.append((sc, i))
     exp.sort(key=lambda sd: (-sd[0], sd[1]))
+    _paths_agree(searchers, "terms_set_search", terms, field="content",
+                 msm_field="msm", k=15)
     for name, s in searchers.items():
-        fn = (s.terms_set_search_sharded if name == "actors"
-              else s.terms_set_search)
-        got = fn(terms, field="content", msm_field="msm", k=15)
+        got = s.terms_set_search(terms, field="content", msm_field="msm",
+                                 k=15)
         assert [(round(a, 6), b) for a, b in got] == \
             [(round(a, 6), b) for a, b in exp[:15]], name
     # constant minimum: msm=3 keeps only docs containing all three
-    got = searchers["actors"].terms_set_search_sharded(
+    got = searchers["actors"].terms_set_search(
         terms, minimum_should_match=3, k=200)
     want_ids = {i for i, tl in enumerate(tok_lists)
                 if all(t in tl for t in terms)}
@@ -467,20 +479,22 @@ def test_script_score_and_distance_feature(corpora):
     # script_score: _score * msm (msm = i%3 + 1)
     exp = sorted(((bm25(i) * ((i % 3) + 1), i) for i in m),
                  key=lambda sd: (-sd[0], sd[1]))
+    _paths_agree(searchers, "script_score_search", "spark join",
+                 "_score * msm", ("msm",), k=12)
     for name, s in searchers.items():
-        fn = (s.script_score_search_sharded if name == "actors"
-              else s.script_score_search)
-        got = fn("spark join", "_score * msm", ("msm",), k=12)
+        got = s.script_score_search("spark join", "_score * msm",
+                                    ("msm",), k=12)
         assert [(round(a, 6), b) for a, b in got] == \
             [(round(a, 6), b) for a, b in exp[:12]], name
     # distance_feature on lat, origin 0, pivot 5, boost 3
     lat = [-20.0 + (i % 40) * 0.9 for i in range(N)]
     exp = sorted(((bm25(i) + 3.0 * 5.0 / (5.0 + abs(lat[i] - 0.0)), i)
                   for i in m), key=lambda sd: (-sd[0], sd[1]))
+    _paths_agree(searchers, "distance_feature_search", "spark join",
+                 "lat", 0.0, 5.0, boost=3.0, k=12)
     for name, s in searchers.items():
-        fn = (s.distance_feature_search_sharded if name == "actors"
-              else s.distance_feature_search)
-        got = fn("spark join", "lat", 0.0, 5.0, boost=3.0, k=12)
+        got = s.distance_feature_search("spark join", "lat", 0.0, 5.0,
+                                        boost=3.0, k=12)
         assert [(round(a, 6), b) for a, b in got] == \
             [(round(a, 6), b) for a, b in exp[:12]], name
     # functions whitelist: sqrt/log allowed, everything else blocked
@@ -523,11 +537,12 @@ def test_rank_feature_exists_ids_pinned(corpora):
     exp = sorted(
         ((bm25(i) + 2.0 * (((i % 3) + 1) / (((i % 3) + 1) + 1.5)), i)
          for i in m), key=lambda sd: (-sd[0], sd[1]))
+    _paths_agree(searchers, "rank_feature_search", "spark join", "msm",
+                 function="saturation", pivot=1.5, boost=2.0, k=12)
     for name, s in searchers.items():
-        fn = (s.rank_feature_search_sharded if name == "actors"
-              else s.rank_feature_search)
-        got = fn("spark join", "msm", function="saturation", pivot=1.5,
-                 boost=2.0, k=12)
+        got = s.rank_feature_search("spark join", "msm",
+                                    function="saturation", pivot=1.5,
+                                    boost=2.0, k=12)
         assert [(round(a, 6), b) for a, b in got] == \
             [(round(a, 6), b) for a, b in exp[:12]], name
         # exists: every doc carries msm -> first k ids ascending
@@ -560,10 +575,7 @@ def test_simple_query_string_tolerance(corpora):
     # sane queries execute on both paths, identically
     for q in ("spark | join", "spark join", '"spark join"~1 -sql',
               "spar* +table"):
-        a = s.simple_query_string_sharded(q, k=8)
-        b = searchers["local"].simple_query_string(q, k=8)
-        assert [(round(x, 6), d) for x, d in a] == \
-            [(round(x, 6), d) for x, d in b], q
+        _paths_agree(searchers, "simple_query_string", q, k=8)
     # garbage NEVER raises (the defining contract vs query_string)
     for junk in ("AND (((", "a^2 /re/", '"unterminated', "~~~", "", "|",
                  "+ - |", "field:value:weird", 'NOT NOT "', ")(("):

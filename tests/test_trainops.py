@@ -1,5 +1,7 @@
 """Training-data operators: dedup family, ANN, text analysis."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -600,6 +602,8 @@ def test_url_canonicalize_and_dedup(ray_session):
         "e http://ex.com:8080/A",             # non-default port KEPT
         "no url at all",
         "f https://other.org/x?utm_a=1",      # lone utm → bare path
+        "g http://www.WWW.ex.com/A/?xutm_a=1&b=2",  # not a utm param
+        "h http://ex.com/A/?utm_a=1&utm_b=2&id=3",  # a run of utm params
     ]
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array(range(len(texts)), pa.int64()),
@@ -614,9 +618,11 @@ def test_url_canonicalize_and_dedup(ray_session):
     assert out.loc[4, "canon"] == "http://ex.com:8080/A"
     assert out.loc[5, "canon"] is None
     assert out.loc[6, "canon"] == "https://other.org/x"
+    assert out.loc[7, "canon"] == "http://ex.com/A/?xutm_a=1&b=2"
+    assert out.loc[8, "canon"] == "http://ex.com/A/?id=3"
 
     kept = sorted(urls.url_dedup(ds).to_pandas()["doc_id"])
-    assert kept == [0, 2, 4, 5, 6]
+    assert kept == [0, 2, 4, 5, 6, 7]
 
 
 def test_pq_adc_recall_and_determinism(ray_session):
@@ -759,3 +765,46 @@ def test_write_training_shards(ray_session, tmp_path_factory):
         ordering.write_training_shards(
             ds, out, fractions={"train": 0.8, "val": 0.1, "test": 0.1},
             shards_per_split=4, seed=5)
+
+
+def test_write_training_shards_crash_rerun(ray_session, tmp_path_factory,
+                                           monkeypatch):
+    """A writer killed mid-write leaves no partial rows in out_dir; the
+    rerun publishes every row exactly once.  The kill is injected
+    into the parquet write after a prefix of the rows has landed on
+    disk (the state a SIGKILL mid-write leaves behind)."""
+    import pyarrow.dataset as pads
+
+    from siem_on_amazon_opensearch_service_ray.stages import ordering
+
+    n = 400
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": pa.array([f"doc {i}" for i in range(n)], pa.string()),
+    }))
+    out = str(tmp_path_factory.mktemp("shards_crash") / "out")
+    real_write = rd.Dataset.write_parquet
+
+    def killed_write(self, path, **kw):
+        real_write(self.limit(n // 2), path, **kw)
+        raise KeyboardInterrupt("writer killed mid-write")
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", killed_write)
+    with pytest.raises(KeyboardInterrupt):
+        ordering.write_training_shards(ds, out, shards_per_split=2,
+                                       seed=3)
+    monkeypatch.setattr(rd.Dataset, "write_parquet", real_write)
+    assert not os.path.exists(out)          # nothing published
+    meta = ordering.write_training_shards(ds, out, shards_per_split=2,
+                                          seed=3)
+    ids = pads.dataset(out, partitioning="hive").to_table() \
+        .column("doc_id").to_pylist()
+    assert len(ids) == n and sorted(ids) == list(range(n))
+    assert sum(meta["splits"].values()) == n
+    assert not os.path.exists(out + ".partial")
+    # a directory with data but no marker is refused, not appended to
+    stray = str(tmp_path_factory.mktemp("shards_stray") / "out")
+    os.makedirs(stray)
+    open(os.path.join(stray, "part-0.parquet"), "wb").close()
+    with pytest.raises(ValueError, match="no training-shards marker"):
+        ordering.write_training_shards(ds, stray)
