@@ -60,13 +60,18 @@ import ray.data as rd
 
 from ..analysis import ANALYZERS, POSITIONAL_ANALYZERS
 from ..norms import encode_norm
-from ..postings import encode_positions, encode_postings
+from ..postings import (_varint_encode_arr, _varint_lengths, encode_positions,
+                        encode_postings_runs, varint_encode)
 from ..stages.docprep import compute_doc_ids, content_shas
 
 # bump whenever the on-disk segment representation changes — resume
 # fingerprints include this, so stale-format segments can never be
 # silently reused (v5: sentinel-row doc LUT; v6: typed docstore + null sentinel)
 FORMAT_VERSION = 6
+
+# LUT-vs-raw probe budget of _encode_segment: at most this many encoded
+# bytes per doc-id representation are materialized and snappy-measured
+_PROBE_SAMPLE = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -381,7 +386,6 @@ class TokenizeFlatten:
             nrm = encode_norm(dls).astype(np.int64)[rows_u]
             # global delta stream: delta vs previous position, reset to
             # the absolute position at every posting start
-            from ..postings import _varint_encode_arr, _varint_lengths
             d = np.empty_like(pos_s)
             if d.size:
                 d[0] = pos_s[0]
@@ -632,6 +636,49 @@ def _write_docstore_group(group: pa.Table, index_dir: str, fp: str,
     return _metrics_row(part, 0, 0, nbytes, tbl.num_rows, False)
 
 
+def _docs_stream_costs(dids: np.ndarray, ords: np.ndarray,
+                       df: np.ndarray) -> tuple[float, float]:
+    """-> snappy cost of a segment's docs stream written as raw ids and
+    as LUT ordinals.  ``dids``/``ords`` hold every run's postings end to
+    end (run k holds ``df[k]``, doc-ascending).
+
+    Each representation is one delta stream over every run, reset to
+    the absolute value at each run start, so its LEB128 bytes are the
+    per-run encodes laid end to end; one varint-length pass gives every
+    run's running byte total.  The probe budget bounds what is
+    materialized: the sampled prefix is every run whose running total
+    stays within _PROBE_SAMPLE in either stream (a prefix of runs,
+    since both totals only grow), only that prefix is encoded and
+    compressed, and the exact length of the rest scales the sampled
+    ratio up.  A GB-scale segment therefore pays O(sample) to decide,
+    not a second full encode+compress of its doc stream."""
+    ends = np.cumsum(df)
+    heads = (ends - df)[df > 0]
+    last = ends[df > 0] - 1
+    streams = []
+    for v in (dids, ords):
+        d = np.empty(v.size, dtype=np.uint64)
+        d[1:] = v[1:] - v[:-1]
+        d[heads] = v[heads]
+        vl = _varint_lengths(d)
+        streams.append((d, vl, np.cumsum(vl)))
+    in_probe = ((streams[0][2][last] <= _PROBE_SAMPLE)
+                | (streams[1][2][last] <= _PROBE_SAMPLE))
+    n_in = int(np.count_nonzero(in_probe))
+    probe = int(last[n_in - 1]) + 1 if n_in else 0
+    costs = []
+    for d, vl, running in streams:
+        if not probe:
+            costs.append(0.0)
+            continue
+        blob = _varint_encode_arr(d[:probe], vl[:probe]).tobytes()
+        comp = len(pa.compress(blob, codec="snappy", asbytes=True))
+        total = int(running[-1])
+        costs.append(comp * (total / len(blob)) if total > len(blob)
+                     else comp)
+    return costs[0], costs[1]
+
+
 def _encode_segment(group: pa.Table, index_dir: str, fp: str,
                     cfg: IndexConfig, docstore_cols: list[str],
                     gen: str = "",
@@ -654,9 +701,9 @@ def _encode_segment(group: pa.Table, index_dir: str, fp: str,
     t0 = time.monotonic()
     # rows are packed runs (one per block x term — TokenizeFlatten's
     # combiner), so this sort touches ~vocab x blocks string rows, not
-    # one row per posting; postings themselves sort NUMERICALLY per
-    # term below.  Canonical output is untouched: same doc-ascending,
-    # first-wins-dedup posting order as the row-level format produced.
+    # one row per posting; postings themselves sort NUMERICALLY below.
+    # Canonical output is untouched: same doc-ascending, first-wins-
+    # dedup posting order as the row-level format produced.
     idx = pa.compute.sort_indices(group, sort_keys=[
         ("field", "ascending"), ("term", "ascending")])
     group = group.take(idx)
@@ -670,7 +717,6 @@ def _encode_segment(group: pa.Table, index_dir: str, fp: str,
                            dtype=np.int32).astype(np.uint32)
     nm_cat = np.frombuffer(b"".join(group.column("norms").to_pylist()),
                            dtype=np.uint8)
-    cum = np.concatenate(([0], np.cumsum(npost)))
     nrows = len(group)
     boundary = np.ones(nrows, dtype=bool)
     if nrows > 1:
@@ -679,15 +725,25 @@ def _encode_segment(group: pa.Table, index_dir: str, fp: str,
             pa.compute.not_equal(t_col.slice(1), t_col.slice(0, nrows - 1)))
         boundary[1:] = neq.to_numpy(zero_copy_only=False)
     starts = np.flatnonzero(boundary)
-    ends = np.append(starts[1:], nrows)
     n = int(d_cat.size)
-    with_pos = bool(cfg.store_positions) and "pos" in group.column_names
-    if with_pos:
-        pos_cat = memoryview(b"".join(group.column("pos").to_pylist()))
-        pl_cat = np.frombuffer(
-            b"".join(group.column("plens").to_pylist()),
-            dtype=np.uint32).astype(np.int64)
-        pos_off = np.concatenate(([0], np.cumsum(pl_cat)))
+    # ONE stable (run, doc) sort over every posting of the segment: runs
+    # follow the (field, term) row order above and a doc's duplicate
+    # postings keep arrival order, so the boundary mask keeps the FIRST
+    # of them (duplicate (term, doc) postings only come from duplicate
+    # input rows with identical content)
+    run_id = np.repeat(np.cumsum(boundary) - 1, npost)
+    order = np.lexsort((d_cat, run_id))
+    run_id, dids = run_id[order], d_cat[order]
+    keep = np.ones(n, dtype=bool)
+    if n > 1:
+        keep[1:] = (run_id[1:] != run_id[:-1]) | (dids[1:] != dids[:-1])
+    order, run_id, dids = order[keep], run_id[keep], dids[keep]
+    tfs, nms = tf_cat[order], nm_cat[order]
+    df = np.bincount(run_id, minlength=starts.size)
+    p_end = np.cumsum(df)
+    p_start = p_end - df
+    tf_cum = np.concatenate(([0], np.cumsum(tfs, dtype=np.int64)))
+    ttf = tf_cum[p_end] - tf_cum[p_start]
     # Per-segment doc LUT (adaptive): the sorted unique doc ids across
     # ALL the segment's terms, delta-varint encoded ONCE in the file
     # footer, with every term's posting list storing dense ordinals
@@ -703,13 +759,12 @@ def _encode_segment(group: pa.Table, index_dir: str, fp: str,
     # and the smaller representation is written.  ShardReader remaps
     # ordinals back to ids at load, so query paths are untouched
     # either way.
-    from ..postings import varint_encode as _venc
     seg_lut = np.unique(d_cat)
     lut_deltas = np.empty(seg_lut.size, dtype=np.uint64)
     if seg_lut.size:
         lut_deltas[0] = seg_lut[0]
         np.subtract(seg_lut[1:], seg_lut[:-1], out=lut_deltas[1:])
-    lut_blob = _venc(lut_deltas)
+    lut_blob = varint_encode(lut_deltas)
 
     # cheap gate: the LUT stores every unique doc id once (~5-6 B
     # snappy'd); ordinal postings save ~5 B/posting post-compression,
@@ -718,92 +773,43 @@ def _encode_segment(group: pa.Table, index_dir: str, fp: str,
     # throughput cost of measuring both representations on
     # low-overlap segments)
     consider_lut = n >= seg_lut.size + 64
-    # probe budget: materialize at most this many encoded bytes per
-    # representation; beyond it only exact (cheap, vectorized) varint
-    # LENGTHS accumulate and the sampled compression ratio scales up.
-    # A GB-scale segment therefore pays O(sample) to decide, not a
-    # second full encode+compress of its doc stream.
-    _PROBE_SAMPLE = 1 << 19
-    runs: list[tuple] = []      # (s, dids, tfs, nms, pidx)
-    raw_parts: list[bytes] = []
-    ord_parts: list[bytes] = []
-    raw_total = 0
-    ord_total = 0
-    for s, e in zip(starts, ends):
-        ps, pe = int(cum[s]), int(cum[e])
-        dids = d_cat[ps:pe]
-        tfs = tf_cat[ps:pe]
-        nms = nm_cat[ps:pe]
-        order = np.argsort(dids, kind="stable")
-        dids, tfs, nms = dids[order], tfs[order], nms[order]
-        pidx = (np.arange(ps, pe)[order] if with_pos else None)
-        # duplicate (term, doc) postings can only come from duplicate
-        # input rows with identical content (same doc_id) — keep first
-        uniq, first = np.unique(dids, return_index=True)
-        if uniq.size != dids.size:
-            dids, tfs, nms = uniq, tfs[first], nms[first]
-            if with_pos:
-                pidx = pidx[first]
-        if consider_lut and dids.size:
-            from ..postings import _varint_lengths
-            d = np.empty(dids.size, dtype=np.uint64)
-            d[0] = dids[0]
-            np.subtract(dids[1:], dids[:-1], out=d[1:])
-            ords = np.searchsorted(seg_lut, dids).astype(np.uint64)
-            od = np.empty(ords.size, dtype=np.uint64)
-            od[0] = ords[0]
-            np.subtract(ords[1:], ords[:-1], out=od[1:])
-            raw_total += int(_varint_lengths(d).sum())
-            ord_total += int(_varint_lengths(od).sum())
-            if raw_total <= _PROBE_SAMPLE or ord_total <= _PROBE_SAMPLE:
-                raw_parts.append(_venc(d))
-                ord_parts.append(_venc(od))
-        runs.append((int(s), dids, tfs, nms, pidx))
+    use_lut = False
+    if consider_lut:
+        ords = np.searchsorted(seg_lut, dids).astype(np.uint64)
+        raw_cost, ord_cost = _docs_stream_costs(dids, ords, df)
+        # the LUT rides as a sentinel ROW (field="\x00lut") so it gets
+        # the same page compression as the posting blobs — parquet
+        # footer metadata would be stored base64-inflated ~2.3x
+        # (measured)
+        lut_cost = len(pa.compress(lut_blob, codec="snappy", asbytes=True))
+        use_lut = ord_cost + lut_cost < raw_cost
 
-    def _disk_cost(parts: list[bytes], total: int) -> float:
-        """Snappy cost of the full stream, extrapolated from the
-        sampled prefix's compression ratio when the stream was only
-        partially materialized."""
-        if not parts:
-            return 0.0
-        blob = b"".join(parts)
-        comp = len(pa.compress(blob, codec="snappy", asbytes=True))
-        return comp * (total / len(blob)) if total > len(blob) else comp
-
-    # the LUT rides as a sentinel ROW (field="\x00lut") so it gets the
-    # same page compression as the posting blobs — parquet footer
-    # metadata would be stored base64-inflated ~2.3x (measured)
-    use_lut = consider_lut and \
-        (_disk_cost(ord_parts, ord_total) + _disk_cost([lut_blob], 0)) \
-        < _disk_cost(raw_parts, raw_total)
-
-    o_field, o_term, o_df, o_ttf = [], [], [], []
-    o_docs, o_tfs, o_norms, o_skip, o_pos = [], [], [], [], []
-    n_postings = 0
-    # ONE vectorized encode across every run (byte-identical to the
-    # old per-run encode_postings loop — see encode_postings_batch)
-    from ..postings import encode_postings_batch
-    enc_list = [(np.searchsorted(seg_lut, dids).astype(np.uint64)
-                 if use_lut else dids)
-                for _, dids, _, _, _ in runs]
-    packed = encode_postings_batch(enc_list,
-                                   [r[2] for r in runs],
-                                   [r[3] for r in runs])
-    for (s, dids, tfs, nms, pidx), (docs_b, tfs_b, norms_b, skip_b) \
-            in zip(runs, packed):
-        if with_pos:
-            o_pos.append(b"".join(
-                bytes(pos_cat[int(pos_off[k]):int(pos_off[k + 1])])
-                for k in pidx))
-        o_field.append(f_col[s].as_py())
-        o_term.append(t_col[s].as_py())
-        o_df.append(int(dids.size))
-        o_ttf.append(int(tfs.sum()))
-        o_docs.append(docs_b)
-        o_tfs.append(tfs_b)
-        o_norms.append(norms_b)
-        o_skip.append(skip_b)
-        n_postings += int(dids.size)
+    # ONE vectorized encode across every run (byte-identical to a
+    # per-run encode_postings loop)
+    o_docs, o_tfs, o_norms, o_skip = encode_postings_runs(
+        ords if use_lut else dids, tfs, nms, df)
+    o_field = f_col.take(pa.array(starts)).to_pylist()
+    o_term = t_col.take(pa.array(starts)).to_pylist()
+    o_df = df.tolist()
+    o_ttf = ttf.tolist()
+    n_postings = int(df.sum())
+    with_pos = bool(cfg.store_positions) and "pos" in group.column_names
+    if with_pos:
+        # gather every kept posting's position bytes in output order
+        # with one vectorized index, then slice per run
+        pos_cat = np.frombuffer(b"".join(group.column("pos").to_pylist()),
+                                dtype=np.uint8)
+        pl_cat = np.frombuffer(
+            b"".join(group.column("plens").to_pylist()),
+            dtype=np.uint32).astype(np.int64)
+        pos_off = np.concatenate(([0], np.cumsum(pl_cat)))
+        lens = pl_cat[order]
+        b_cum = np.concatenate(([0], np.cumsum(lens)))
+        gather = (np.arange(int(b_cum[-1]), dtype=np.int64)
+                  + np.repeat(pos_off[order] - b_cum[:-1], lens))
+        pos_blob = pos_cat[gather].tobytes()
+        o_pos = [pos_blob[a:b] for a, b in
+                 zip(b_cum[p_start].tolist(), b_cum[p_end].tolist())]
     n_terms = len(o_field)
     if use_lut:
         o_field.append(LUT_SENTINEL)

@@ -1144,13 +1144,15 @@ def _exec_agg(s, name: str, spec: dict, qctx: tuple[str, str, str]
         # variance/std_dev/sum_sq ride along on every stats path
         return s.stats_aggregation(text, body["field"], qfield, mode)
     if kind == "percentiles":
+        # exact quantiles by per-shard count probes on both paths: no
+        # matched value leaves its shard
         qs = tuple(p / 100.0 for p in body.get("percents",
                                                [25., 50., 75.]))
         st = s.stats_aggregation(
             text, body["field"], qfield, mode, quantiles=qs,
-            quantile_method=("exact_distributed" if s.use_actors
-                             else "exact"))
-        return {"values": {f"{p * 100:g}": st[f"p{int(p * 100)}"]
+            quantile_method="exact_distributed")
+        # stats_aggregation keys each quantile q as p{round(100q):02d}
+        return {"values": {f"{p * 100:g}": st[f"p{round(p * 100):02d}"]
                            for p in qs}}
     if kind == "percentile_ranks":
         rows = s.percentile_ranks(text, body["field"],

@@ -56,8 +56,8 @@ import ray
 from .. import B, K1
 from ..analysis import ANALYZERS, POSITIONAL_ANALYZERS
 from ..norms import decode_norm, idf as idf_fn, tf_norm
-from ..postings import (BLOCK, LazyPositions, decode_positions,
-                        decode_postings, merge_postings)
+from ..postings import (BLOCK, LazyPositions, decode_postings,
+                        merge_postings)
 from .shard import ShardReader, match_part_files
 
 
@@ -476,25 +476,6 @@ def score_wand(terms: list[TermData], k: int, mode: str, avgdl: float,
     return [(s, -nd) for s, nd in out]
 
 
-def _decode_with_positions(rows: list[tuple]
-                           ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """-> (sorted doc_ids, aligned per-posting position arrays), merging
-    the term's runs (the run-merge permutation is applied to the position
-    lists too).  Eager — kept for tests/compat; the query path uses
-    :class:`_PhraseTerm` (lazy)."""
-    docs_parts: list[np.ndarray] = []
-    pos_parts: list[np.ndarray] = []
-    for row in rows:
-        df, docs_b, tfs_b, norms_b = row[0], row[1], row[2], row[3]
-        pos_b = row[5] if len(row) > 5 else b""
-        tp = decode_postings(docs_b, tfs_b, norms_b, df)
-        docs_parts.append(tp.doc_ids)
-        pos_parts.extend(decode_positions(pos_b, tp.tfs))
-    doc_ids = np.concatenate(docs_parts) if docs_parts else np.zeros(0, np.uint64)
-    order = np.argsort(doc_ids, kind="stable")
-    return doc_ids[order], [pos_parts[i] for i in order]
-
-
 class _PhraseTerm:
     """One query token's postings with LAZY positions: doc ids / tfs /
     norms decode vectorized up front (cheap); position streams decode
@@ -545,41 +526,6 @@ class _PhraseTerm:
             return None
         r, i = loc
         return int(self.run_norms[r][i])
-
-
-def phrase_match(term_positions: list[tuple[int, np.ndarray, list[np.ndarray]]],
-                 ) -> dict[int, int]:
-    """Exact phrase matching over positional postings.
-
-    ``term_positions``: per query token, (query_offset, sorted doc_ids,
-    aligned per-posting position arrays).  A doc matches when some
-    anchor p satisfies (p + offset_i) in positions_i for every token —
-    Lucene exact PhraseQuery semantics (sub-tokens share their base
-    token's position, so split identifiers participate).  Returns
-    {doc_id: phrase_tf}."""
-    if not term_positions:
-        return {}
-    # intersect doc sets smallest-first
-    ordered = sorted(term_positions, key=lambda x: x[1].size)
-    base = ordered[0][1]
-    for _, docs, _ in ordered[1:]:
-        if base.size == 0:
-            return {}
-        pos = np.minimum(np.searchsorted(docs, base), max(docs.size - 1, 0))
-        base = base[docs[pos] == base] if docs.size else base[:0]
-    out: dict[int, int] = {}
-    for d in base:
-        anchors: np.ndarray | None = None
-        for off, docs, plists in term_positions:
-            i = int(np.searchsorted(docs, d))
-            cand = plists[i].astype(np.int64) - off
-            anchors = cand if anchors is None else \
-                np.intersect1d(anchors, cand, assume_unique=False)
-            if anchors.size == 0:
-                break
-        if anchors is not None and anchors.size:
-            out[int(d)] = int(anchors.size)
-    return out
 
 
 def _dispatch(method: str, terms: list[TermData], k: int, mode: str,

@@ -133,11 +133,13 @@ class ShardReader:
         # 6-tuples (df, docs, tfs, norms, skip, pos) with doc ids in
         # real-id space; rows from a LUT segment load as 7-tuples with
         # the segment's LUT appended and ordinal-space blobs, and are
-        # remapped LAZILY on first access (_rows).  Startup therefore
-        # only scans the term dictionary — at 100-TB shard sizes the
-        # vocabulary is huge and queries touch a sliver of it, so
-        # paying the ordinal->id re-encode per *queried* term (cached
-        # in place) beats paying it for every term at actor boot.
+        # remapped LAZILY on first access (_rows): the ordinal->id
+        # re-encode is paid per *queried* term (cached in place), not
+        # for every term at actor boot.  Start-up is NOT a term-
+        # dictionary scan, though: it reads every segment whole and
+        # copies every column of every row into Python objects, the
+        # postings, skip and position blobs included, so open cost and
+        # reader memory grow with the postings, not the vocabulary.
         # Full-vocabulary consumers (compaction) call materialize_all,
         # which batches the re-encode exactly like the old eager load.
         self.terms: dict[tuple[str, str], list[tuple]] = {}

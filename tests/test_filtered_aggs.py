@@ -159,6 +159,34 @@ def test_percentiles_and_mad(searcher):
     assert a["mad"]["value"] in np.abs(v - np.median(v))
 
 
+def test_percentiles_identical_on_both_paths(fagg_index):
+    """The percentiles agg returns the same bits from shard actors and
+    in process, filtered or not, and they are np.quantile's linear
+    interpolation over the match set.  Single-digit percents and ones
+    whose p/100*100 is not an exact float (29, 57) must resolve too."""
+    idx, df = fagg_index
+    percents = [0.0, 1.0, 12.5, 25.0, 29.0, 50.0, 57.0, 90.0, 99.0, 100.0]
+    agg = {"p": {"percentiles": {"field": "n_chars",
+                                 "percents": percents}}}
+    plain = {"query": {"match": {"content": "spark"}}, "size": 0,
+             "aggs": agg}
+    full = df[df.text.map(lambda t: "spark" in set(
+        re.findall(r"[a-z0-9_]+", t.lower())))]
+    got = {}
+    for actors in (False, True):
+        s = Searcher(idx, use_actors=actors)
+        try:
+            got[actors] = [execute_dsl(s, b)["aggregations"]["p"]["values"]
+                           for b in (_body(agg), plain)]
+        finally:
+            s.close()
+    assert got[False] == got[True]
+    for vals, ref in zip(got[False], (_matches(df), full)):
+        v = ref.n_chars.values.astype(np.float64)
+        assert vals == {f"{p:g}": float(np.quantile(v, p / 100.0))
+                        for p in percents}
+
+
 def test_filters_compose_and_clear(searcher):
     """The ambient context clears after the request: an unfiltered
     follow-up sees the full match set again."""
